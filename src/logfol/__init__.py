@@ -15,8 +15,6 @@ from .foliation import (
     ValidationFailure,
     build_form,
     lambda_table,
-    residues,
-    residues_along,
     validate_spec,
 )
 from .forms import (
@@ -42,7 +40,6 @@ from .groebner import (
     normal_form,
     projective_dimension,
     radical_membership,
-    reduced_groebner,
 )
 from .poly import (
     GREVLEX,
@@ -57,12 +54,10 @@ from .poly import (
 from .schemes import (
     CheckResult,
     SchemeIdeals,
-    VerificationReport,
     kupka_ideal,
     persistent_cap,
     persistent_sum,
     residual_ideal,
-    scheme_ideals,
     singular_ideal,
     verify_decomposition,
     verify_identities,

@@ -1,18 +1,27 @@
 """Command-line front end.
 
-Four commands operate on JSON spec files (schema documented in the README
-and enforced here):
+Four commands operate on JSON spec files (the schema is documented in
+README.md and enforced here):
 
-* ``check``    validate a spec and print its certificate;
+* ``check``    validate a spec and print its certificate; it never builds
+               the form;
 * ``compute``  print reduced Groebner generators and projective dimensions
                of the singular / Kupka / persistent ideals;
-* ``verify``   run the structural checks and report pass/fail per check;
+* ``verify``   run the checks of ``schemes.CHECKS`` and report each one;
 * ``batch``    verify a directory of specs, or N freshly generated random
                instances, optionally in parallel.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 validation failure,
-3 failed check.  Machine-format reports are deterministic for a fixed spec
-and seed up to the timing fields.
+Verdicts and exit codes:
+
+* 0 ``pass``: every check run passed (``check``: the spec validates);
+* 1 ``error``: the spec file cannot be read or parsed;
+* 2 ``validation-failed``: the spec fails its validation level, or its
+  form is zero; ``precondition-failed``: no check failed, but some were
+  skipped because the instance breaks the paper's hypotheses;
+* 3 ``fail``: a check failed.
+
+Machine-format reports are deterministic for a fixed spec and seed up to
+the ``seconds`` fields.
 """
 
 from __future__ import annotations
@@ -23,34 +32,27 @@ import json
 import os
 import random
 import sys
-import time
 from fractions import Fraction
 
 from . import __version__
 from .foliation import (
+    VALIDATION_LEVELS,
     FoliationSpec,
     SpecValidationError,
-    build_form,
+    ValidationFailure,
     validate_spec,
 )
-from .groebner import GREVLEX, normal_form, projective_dimension
+from .groebner import ideal_equal
 from .poly import PolyParseError, parse_poly, poly_to_str
-from .sampling import instance_menu, random_foliation_spec
-from .schemes import (
-    CheckResult,
-    scheme_ideals,
-    verify_decomposition,
-    verify_identities,
-    verify_lemma,
-)
+from .sampling import instance_menu, random_validated_spec
+from .schemes import CHECKS, SchemeIdeals, ideal_block
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_CHECKS = 3
 
-ALL_CHECKS = ("identities", "sing", "kupka", "persistent", "lemma", "decomposition")
-WORKERS_ENV = "LOGFOL_WORKERS"
+ALL_CHECKS = tuple(CHECKS)
 
 
 class SpecFileError(Exception):
@@ -163,7 +165,7 @@ def parse_spec_document(data: dict, name: str) -> SpecDocument:
                    for key, value in raw.items()}
 
     level = data.get("validation_level", "generic")
-    if level not in ("basic", "generic", "full-snc"):
+    if level not in VALIDATION_LEVELS:
         raise SpecFileError(f"unknown validation_level {level!r}")
     checks = data.get("checks", list(ALL_CHECKS))
     if not isinstance(checks, list) or any(c not in ALL_CHECKS for c in checks):
@@ -177,160 +179,109 @@ def parse_spec_document(data: dict, name: str) -> SpecDocument:
 
 
 def load_spec_file(path: str) -> SpecDocument:
+    """Read and parse one spec file; every way it can fail is a SpecFileError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from None
     return parse_spec_document(data, os.path.basename(path))
 
 
-def spec_to_json(doc: SpecDocument) -> dict:
-    """Serializable spec document (the inverse of parse_spec_document)."""
-    return doc.echo()
-
-
 # ---------------------------------------------------------------------------
 # running commands on a document
 # ---------------------------------------------------------------------------
 
-def _validation_block(doc: SpecDocument, waive: bool):
-    """Validate the document; returns (vs_or_None, block_dict, exit_code)."""
+def _validated(doc: SpecDocument, command: str, waive: bool = False) -> tuple:
+    """Validate the document; returns (report holding the validation block,
+    ValidatedSpec or None).  A report without a ValidatedSpec is final."""
     try:
         vs = validate_spec(doc.spec, doc.level)
-        return vs, {"status": "pass", "level": doc.level,
-                    "certificate": list(vs.certificate)}, EXIT_OK
+        block = {"status": "pass", "level": doc.level, "certificate": list(vs.certificate)}
     except SpecValidationError as err:
         failures = [str(f) for f in err.failures]
-        if not waive:
-            return None, {"status": "fail", "level": doc.level,
-                          "failures": failures}, EXIT_VALIDATION
-        try:
-            vs = validate_spec(doc.spec, "basic")
-        except SpecValidationError as basic_err:
-            return None, {"status": "fail", "level": "basic",
-                          "failures": [str(f) for f in basic_err.failures]}, EXIT_VALIDATION
-        return vs, {"status": "waived", "level": doc.level,
-                    "waived_failures": failures,
-                    "certificate": list(vs.certificate)}, EXIT_OK
-
-
-def _ideal_block(ideal) -> dict:
-    return {
-        "generators": [str(g) for g in ideal.groebner_basis(GREVLEX).elements],
-        "projective_dimension": projective_dimension(ideal),
+        vs, block = None, {"status": "fail", "level": doc.level, "failures": failures}
+        if waive:
+            try:
+                vs = validate_spec(doc.spec, "basic")
+                block = {"status": "waived", "level": doc.level,
+                         "waived_failures": failures,
+                         "certificate": list(vs.certificate)}
+            except SpecValidationError as basic_err:
+                block = {"status": "fail", "level": "basic",
+                         "failures": [str(f) for f in basic_err.failures]}
+    report = {
+        "engine": {"name": "logfol", "version": __version__},
+        "command": command,
+        "spec": doc.echo(),
+        "name": doc.name,
+        "validation": block,
     }
+    if vs is None:
+        report["verdict"] = "validation-failed"
+    return report, vs
+
+
+def _instance(doc: SpecDocument, command: str, waive: bool = False) -> tuple:
+    """Like ``_validated``, for commands that need the form: returns (report,
+    SchemeIdeals or None), and a zero form fails validation."""
+    report, vs = _validated(doc, command, waive)
+    if vs is None:
+        return report, None
+    ids = SchemeIdeals(vs)
+    if ids.form.is_zero:
+        failure = ValidationFailure("nonzero-form", "built form", "every coefficient is zero")
+        report["validation"] = {"status": "fail", "level": report["validation"]["level"],
+                                "failures": [str(failure)]}
+        report["verdict"] = "validation-failed"
+        return report, None
+    return report, ids
 
 
 def run_check(doc: SpecDocument) -> tuple:
-    vs, block, code = _validation_block(doc, waive=False)
-    report = _report_skeleton(doc, "check")
-    report["validation"] = block
-    report["verdict"] = "pass" if code == EXIT_OK else "validation-failed"
-    return report, code
+    report, vs = _validated(doc, "check")
+    if vs is None:
+        return report, EXIT_VALIDATION
+    report["verdict"] = "pass"
+    return report, EXIT_OK
 
 
 def run_compute(doc: SpecDocument, which: str) -> tuple:
-    vs, block, code = _validation_block(doc, waive=False)
-    report = _report_skeleton(doc, "compute")
-    report["validation"] = block
-    if code != EXIT_OK:
-        report["verdict"] = "validation-failed"
-        return report, code
-    form = build_form(vs)
-    ideals = scheme_ideals(vs, form)
-    wanted = ALL_CHECKS if which == "all" else (which,)
+    report, ids = _instance(doc, "compute")
+    if ids is None:
+        return report, EXIT_VALIDATION
     out = {}
-    if "sing" in wanted or which == "all":
-        out["singular"] = _ideal_block(ideals.singular)
-    if "kupka" in wanted or which == "all":
-        out["kupka"] = _ideal_block(ideals.kupka)
-    if "persistent" in wanted or which == "all":
-        out["persistent_sum"] = _ideal_block(ideals.persistent_sum)
-        out["persistent_cap"] = _ideal_block(ideals.persistent_cap)
-        out["persistent_equal"] = (
-            ideals.persistent_sum.groebner_basis(GREVLEX).elements
-            == ideals.persistent_cap.groebner_basis(GREVLEX).elements)
+    if which in ("sing", "all"):
+        out["singular"] = ideal_block(ids.singular)
+    if which in ("kupka", "all"):
+        out["kupka"] = ideal_block(ids.kupka)
+    if which in ("persistent", "all"):
+        out["persistent_sum"] = ideal_block(ids.persistent_sum)
+        out["persistent_cap"] = ideal_block(ids.persistent_cap)
+        out["persistent_equal"] = ideal_equal(ids.persistent_sum, ids.persistent_cap)
     report["ideals"] = out
     report["verdict"] = "pass"
     return report, EXIT_OK
 
 
-def _sanity_check_sing(ideals) -> CheckResult:
-    t0 = time.perf_counter()
-    return CheckResult("sing", "pass", _ideal_block(ideals.singular),
-                       time.perf_counter() - t0)
-
-
-def _sanity_check_kupka(ideals) -> CheckResult:
-    t0 = time.perf_counter()
-    gb = ideals.kupka.groebner_basis(GREVLEX)
-    contained = all(normal_form(g, gb).is_zero for g in ideals.singular.generators)
-    details = _ideal_block(ideals.kupka)
-    details["contains_singular_ideal"] = contained
-    return CheckResult("kupka", "pass" if contained else "fail", details,
-                       time.perf_counter() - t0)
-
-
-def _sanity_check_persistent(ideals) -> CheckResult:
-    t0 = time.perf_counter()
-    gb = ideals.persistent_cap.groebner_basis(GREVLEX)
-    included = all(normal_form(g, gb).is_zero
-                   for g in ideals.persistent_sum.generators)
-    details = {
-        "sum": _ideal_block(ideals.persistent_sum),
-        "cap": _ideal_block(ideals.persistent_cap),
-        "sum_included_in_cap": included,
-        "ideals_equal": (ideals.persistent_sum.groebner_basis(GREVLEX).elements
-                         == gb.elements),
-    }
-    return CheckResult("persistent", "pass" if included else "fail", details,
-                       time.perf_counter() - t0)
-
-
 def run_verify(doc: SpecDocument, waive: bool = False) -> tuple:
-    vs, block, code = _validation_block(doc, waive)
-    report = _report_skeleton(doc, "verify")
-    report["validation"] = block
-    if code != EXIT_OK:
-        report["verdict"] = "validation-failed"
-        return report, code
-    form = build_form(vs)
-    needs_ideals = any(c in doc.checks for c in ("sing", "kupka", "persistent", "decomposition"))
-    ideals = scheme_ideals(vs, form) if needs_ideals else None
-    results = []
-    for check in ALL_CHECKS:
-        if check not in doc.checks:
-            continue
-        if check == "identities":
-            results.append(verify_identities(vs, form))
-        elif check == "sing":
-            results.append(_sanity_check_sing(ideals))
-        elif check == "kupka":
-            results.append(_sanity_check_kupka(ideals))
-        elif check == "persistent":
-            results.append(_sanity_check_persistent(ideals))
-        elif check == "lemma":
-            results.append(verify_lemma(vs, waive_preconditions=waive))
-        elif check == "decomposition":
-            results.extend(verify_decomposition(vs, ideals, form, waive).checks)
+    report, ids = _instance(doc, "verify", waive)
+    if ids is None:
+        return report, EXIT_VALIDATION
+    results = [result for name, check in CHECKS.items() if name in doc.checks
+               for result in check(ids, waive)]
     report["checks"] = [r.to_dict() for r in results]
     failed = [r.name for r in results if r.status == "fail"]
-    report["verdict"] = "pass" if not failed else "fail"
     if failed:
         report["failed_checks"] = failed
-    return report, EXIT_OK if not failed else EXIT_CHECKS
-
-
-def _report_skeleton(doc: SpecDocument, command: str) -> dict:
-    return {
-        "engine": {"name": "logfol", "version": __version__},
-        "command": command,
-        "spec": doc.echo(),
-        "name": doc.name,
-    }
+        report["verdict"], code = "fail", EXIT_CHECKS
+    elif any(r.status == "skipped" for r in results):
+        report["verdict"], code = "precondition-failed", EXIT_VALIDATION
+    else:
+        report["verdict"], code = "pass", EXIT_OK
+    return report, code
 
 
 # ---------------------------------------------------------------------------
@@ -338,61 +289,54 @@ def _report_skeleton(doc: SpecDocument, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def _batch_worker(item) -> dict:
-    label, spec_json, waive = item
-    try:
-        doc = parse_spec_document(spec_json, label)
-        report, code = run_verify(doc, waive)
-    except SpecFileError as exc:
-        report = {"name": label, "verdict": "error", "error": str(exc)}
-        code = EXIT_IO
+    doc, waive = item
+    report, code = run_verify(doc, waive)
     report["exit_code"] = code
     return report
 
 
 def generate_batch_specs(count: int, seed: int, level: str) -> list:
     """Deterministic batch of random instance documents for a seed."""
-    from .sampling import random_validated_spec
-
     rng = random.Random(seed)
     menu = instance_menu()
-    items = []
+    docs = []
     for i in range(count):
         n, q, s = menu[rng.randrange(len(menu))]
         vs = random_validated_spec(rng, n, q, s, level=level)
-        spec = vs.spec
-        doc = SpecDocument(f"random-{i:04d}", spec, level, ALL_CHECKS, None)
-        items.append((doc.name, spec_to_json(doc)))
-    return items
+        docs.append(SpecDocument(f"random-{i:04d}", vs.spec, level, ALL_CHECKS, None))
+    return docs
 
 
 def run_batch(target: str, seed: int, workers: int, level: str | None,
               waive: bool, output_dir: str | None) -> tuple:
+    errors = []
     if target.isdigit():
-        effective_level = level or "full-snc"
-        items = [(name, data, waive)
-                 for name, data in generate_batch_specs(int(target), seed, effective_level)]
+        docs = generate_batch_specs(int(target), seed, level or "full-snc")
     else:
         if not os.path.isdir(target):
             raise SpecFileError(f"{target} is neither a directory nor an instance count")
         paths = sorted(p for p in os.listdir(target) if p.endswith(".json"))
         if not paths:
             raise SpecFileError(f"no .json spec files in {target}")
-        items = []
+        docs = []
         for p in paths:
-            with open(os.path.join(target, p), "r", encoding="utf-8") as handle:
-                try:
-                    data = json.load(handle)
-                except json.JSONDecodeError as exc:
-                    raise SpecFileError(f"{p} is not valid JSON: {exc}") from None
+            try:
+                doc = load_spec_file(os.path.join(target, p))
+            except SpecFileError as exc:
+                errors.append({"name": p, "verdict": "error", "error": str(exc),
+                               "exit_code": EXIT_IO})
+                continue
             if level:
-                data["validation_level"] = level
-            items.append((p, data, waive))
+                doc.level = level
+            docs.append(doc)
 
+    items = [(doc, waive) for doc in docs]
     if workers > 1 and len(items) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_batch_worker, items))
     else:
         reports = [_batch_worker(item) for item in items]
+    reports = sorted(reports + errors, key=lambda r: r["name"])
 
     if output_dir:
         os.makedirs(output_dir, exist_ok=True)
@@ -408,7 +352,7 @@ def run_batch(target: str, seed: int, workers: int, level: str | None,
         "command": "batch",
         "seed": seed,
         "count": len(reports),
-        "results": [{"name": r["name"], "verdict": r.get("verdict", "error"),
+        "results": [{"name": r["name"], "verdict": r["verdict"],
                      "exit_code": r["exit_code"]} for r in reports],
         "reports": reports,
     }
@@ -485,7 +429,7 @@ def emit(report: dict, fmt: str, output: str | None) -> None:
 def _add_common(parser):
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--level", choices=("basic", "generic", "full-snc"), default=None,
+    parser.add_argument("--level", choices=VALIDATION_LEVELS, default=None,
                         help="override the validation level declared in the spec file")
 
 
@@ -515,7 +459,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser("batch", help="verify a directory of specs or N random instances")
     p_batch.add_argument("target", help="directory of .json specs, or an instance count")
     p_batch.add_argument("--seed", type=int, default=0)
-    p_batch.add_argument("--workers", type=int, default=None)
+    p_batch.add_argument("--workers", type=int, default=1)
     p_batch.add_argument("--waive-preconditions", action="store_true")
     _add_common(p_batch)
     return parser
@@ -525,10 +469,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         if args.command == "batch":
-            workers = args.workers
-            if workers is None:
-                workers = int(os.environ.get(WORKERS_ENV, "1"))
-            report, code = run_batch(args.target, args.seed, workers,
+            report, code = run_batch(args.target, args.seed, args.workers,
                                      args.level, args.waive_preconditions,
                                      args.output)
             emit(report, args.format, None)

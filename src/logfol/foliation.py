@@ -184,13 +184,18 @@ def lambda_table(spec: FoliationSpec) -> dict:
 
 @dataclass
 class ValidatedSpec:
-    """A foliation spec together with derived data and its validation record."""
+    """A foliation spec together with derived data and its validation record.
+
+    ``snc_violations`` is the result of the transversality sweep at every
+    depth when validation ran it (``full-snc``), and None otherwise.
+    """
 
     spec: FoliationSpec
     level: str
     degrees: tuple
     lambdas: dict
     certificate: list = field(default_factory=list)
+    snc_violations: list | None = None
 
     @property
     def n(self) -> int:
@@ -345,6 +350,7 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
         # positive-degree hypersurfaces on projective space are always ample
         certificate.append("ampleness: automatic for hypersurfaces on projective space")
 
+    bad = None
     if level == "full-snc" and homogeneous:
         bound = min(spec.s, spec.n + 1)
         bad = transversality_violations(spec.divisors, spec.arity, bound)
@@ -357,7 +363,7 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
 
     if failures:
         raise SpecValidationError(failures)
-    return ValidatedSpec(spec, level, tuple(degrees), lam, certificate)
+    return ValidatedSpec(spec, level, tuple(degrees), lam, certificate, bad)
 
 
 def build_form(vs: ValidatedSpec) -> PForm:
@@ -427,15 +433,3 @@ def degenerate_strata(lambdas: dict, q: int, s: int) -> list:
             bad.append(K)
     return bad
 
-
-def residues(vs: ValidatedSpec) -> dict:
-    """The residue scalar along each q-fold intersection stratum."""
-    return dict(sorted(vs.lambdas.items()))
-
-
-def residues_along(vs: ValidatedSpec, divisor_index: int) -> dict:
-    """Residues of the foliation induced on one divisor: the scalars of the
-    strata that contain it."""
-    if not 0 <= divisor_index < vs.s:
-        raise IndexError(f"divisor index {divisor_index} out of range")
-    return {I: value for I, value in sorted(vs.lambdas.items()) if divisor_index in I}

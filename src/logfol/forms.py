@@ -81,15 +81,6 @@ class PForm:
             raise ValueError(f"a nonzero {degree}-form cannot exist on {arity} coordinates")
         self.coeffs = clean
 
-    @staticmethod
-    def zero(arity: int, degree: int) -> "PForm":
-        return PForm(arity, degree)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "PForm":
-        """Wrap a polynomial as a 0-form."""
-        return PForm(p.arity, 0, {(): p})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -230,8 +230,8 @@ class Ideal:
     """An ideal of Q[x0..xn] with cached reduced Groebner bases.
 
     Every ideal arising from a foliation instance is homogeneous; the class
-    does not insist on it (the radical-membership machinery builds
-    non-homogeneous ideals internally) but records it as a property.
+    does not insist on it, because the radical-membership machinery builds
+    non-homogeneous ideals internally.
     """
 
     __slots__ = ("arity", "generators", "_cache")
@@ -252,10 +252,6 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._cache = {}
-
-    @property
-    def homogeneous(self) -> bool:
-        return all(g.homogeneous_degree() is not None for g in self.generators)
 
     @staticmethod
     def unit(arity: int) -> "Ideal":
@@ -301,11 +297,6 @@ def _poly(arity: int, terms: dict) -> Poly:
     out.arity = arity
     out.terms = terms
     return out
-
-
-def reduced_groebner(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of ``ideal`` under ``order`` (cached)."""
-    return ideal.groebner_basis(order)
 
 
 def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:

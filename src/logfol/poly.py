@@ -335,18 +335,6 @@ class Poly:
             return degrees.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        return self.homogeneous_degree() is not None
-
-    def homogeneous_components(self):
-        """Split into homogeneous parts, returned by increasing degree."""
-        parts = {}
-        for mono, coeff in self.terms.items():
-            parts.setdefault(mono_degree(mono), {})[mono] = coeff
-        return [Poly(self.arity, parts[d]) for d in sorted(parts)]
-
     def permuted(self, perm) -> "Poly":
         """Rename variables by ``perm``: x_i becomes x_{perm[i]}."""
         if sorted(perm) != list(range(self.arity)):
@@ -358,12 +346,6 @@ class Poly:
                 new[perm[i]] = e
             terms[tuple(new)] = coeff
         return Poly(self.arity, terms)
-
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Poly":
-        if not self.terms:
-            return self
-        _, lc = self.leading(order)
-        return self * (_ONE / lc)
 
     # -- printing -------------------------------------------------------------
 

@@ -24,6 +24,10 @@ exact ideal identity and is checked by equality of reduced Groebner bases;
 the locus statements compare zero sets, so they are checked by mutual
 radical membership, which is insensitive to embedded or non-reduced
 structure.  Both results are recorded when they differ.
+
+One instance is one ``SchemeIdeals``: its form, its ideals and the paper's
+hypotheses on it are each computed on first use and then kept.  ``CHECKS``
+names every check ``logfol verify`` can run on an instance, in report order.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .foliation import (
     ValidatedSpec,
@@ -51,7 +56,6 @@ from .groebner import (
     Ideal,
     ideal_equal,
     ideal_intersection,
-    ideal_quotient,
     ideal_saturation,
     ideal_sum,
     intersect_all,
@@ -61,7 +65,6 @@ from .groebner import (
     projective_dimension,
     radical_membership,
 )
-from .poly import Poly
 
 
 def singular_ideal(form: PForm) -> Ideal:
@@ -108,33 +111,59 @@ def residual_ideal(singular: Ideal, kupka: Ideal) -> Ideal:
     return ideal_saturation(singular, kupka)
 
 
-@dataclass
 class SchemeIdeals:
-    """All five ideals attached to one validated instance."""
+    """One validated instance: its form, the five ideals and the hypotheses.
 
-    singular: Ideal
-    kupka: Ideal
-    persistent_sum: Ideal
-    persistent_cap: Ideal
-    residual: Ideal
+    Each attribute is computed on first use and kept, so every ideal, and
+    the Groebner bases cached on it, is built once per instance.  The
+    attributes call the module-level constructors by name.
+    """
 
+    def __init__(self, vs: ValidatedSpec):
+        self.vs = vs
 
-def scheme_ideals(vs: ValidatedSpec, form: PForm | None = None) -> SchemeIdeals:
-    if form is None:
-        form = build_form(vs)
-    J = singular_ideal(form)
-    K = kupka_ideal(form, J)
-    return SchemeIdeals(
-        singular=J,
-        kupka=K,
-        persistent_sum=persistent_sum(vs),
-        persistent_cap=persistent_cap(vs),
-        residual=residual_ideal(J, K),
-    )
+    @cached_property
+    def form(self) -> PForm:
+        return build_form(self.vs)
+
+    @cached_property
+    def singular(self) -> Ideal:
+        return singular_ideal(self.form)
+
+    @cached_property
+    def kupka(self) -> Ideal:
+        return kupka_ideal(self.form, self.singular)
+
+    @cached_property
+    def persistent_sum(self) -> Ideal:
+        return persistent_sum(self.vs)
+
+    @cached_property
+    def persistent_cap(self) -> Ideal:
+        return persistent_cap(self.vs)
+
+    @cached_property
+    def residual(self) -> Ideal:
+        return residual_ideal(self.singular, self.kupka)
+
+    @cached_property
+    def preconditions(self) -> dict:
+        """The paper's hypotheses: the subsets where simple normal crossings
+        fail, at every depth, and the degenerate residue strata.  The sweep
+        done by ``full-snc`` validation is reused."""
+        vs = self.vs
+        bad = vs.snc_violations
+        if bad is None:
+            bad = transversality_violations(vs.divisors, vs.arity, min(vs.s, vs.n + 1))
+        return {
+            "violations": [format_subset(subset) for subset, _ in bad],
+            "degenerate_strata": [format_subset(K)
+                                  for K in degenerate_strata(vs.lambdas, vs.q, vs.s)],
+        }
 
 
 # ---------------------------------------------------------------------------
-# verification reports
+# checks
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -144,40 +173,20 @@ class CheckResult:
     details: dict = field(default_factory=dict)
     seconds: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
     def to_dict(self) -> dict:
         return {"name": self.name, "status": self.status,
                 "details": self.details, "seconds": round(self.seconds, 6)}
 
 
-@dataclass
-class VerificationReport:
-    checks: list = field(default_factory=list)
-
-    def add(self, check: CheckResult):
-        if any(c.name == check.name for c in self.checks):
-            raise ValueError(f"duplicate check name {check.name!r}")
-        self.checks.append(check)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
-
-def _generator_strings(ideal: Ideal) -> list:
+def generator_strings(ideal: Ideal) -> list:
+    """The reduced grevlex generators of an ideal, printed."""
     return [str(g) for g in ideal.groebner_basis(GREVLEX).elements]
+
+
+def ideal_block(ideal: Ideal) -> dict:
+    """Report entry of an ideal: reduced generators and projective dimension."""
+    return {"generators": generator_strings(ideal),
+            "projective_dimension": projective_dimension(ideal)}
 
 
 def radical_equal(I: Ideal, J: Ideal):
@@ -195,15 +204,14 @@ def radical_equal(I: Ideal, J: Ideal):
     return True, None
 
 
-def _preconditions(vs: ValidatedSpec, residues: bool) -> dict:
-    """The hypotheses of the paper on one instance: simple normal crossings
-    at every depth and, with ``residues``, no degenerate residue stratum."""
-    bad = transversality_violations(vs.divisors, vs.arity, min(vs.s, vs.n + 1))
-    violations = [format_subset(subset) for subset, _ in bad]
+def _precondition_details(ids: SchemeIdeals, residues: bool) -> dict:
+    """Report fields of the hypotheses: simple normal crossings at every
+    depth and, with ``residues``, no degenerate residue stratum."""
+    violations = ids.preconditions["violations"]
     details = {"precondition_ok": True, "violations": violations}
     problems = ["snc at " + ", ".join(violations)] if violations else []
     if residues:
-        strata = [format_subset(K) for K in degenerate_strata(vs.lambdas, vs.q, vs.s)]
+        strata = ids.preconditions["degenerate_strata"]
         details["degenerate_strata"] = strata
         if strata:
             problems.append("degenerate residues at " + ", ".join(strata))
@@ -213,7 +221,56 @@ def _preconditions(vs: ValidatedSpec, residues: bool) -> dict:
     return details
 
 
-def verify_lemma(vs: ValidatedSpec, waive_preconditions: bool = False) -> CheckResult:
+def verify_identities(ids: SchemeIdeals) -> CheckResult:
+    """Structural identities of the built form: descent (radial contraction
+    zero), integrability, decomposability in matrix mode, and a positive
+    codimension of the coefficient ideal."""
+    t0 = time.perf_counter()
+    form = ids.form
+    details = {}
+    details["radial_contraction_zero"] = radial_contraction(form).is_zero
+    details["integrable"] = frobenius_check(form)
+    if ids.vs.spec.mode == "matrix":
+        details["decomposable"] = plucker_check(form)
+    codim = ids.vs.n - projective_dimension(ids.singular)
+    details["coefficient_ideal_projective_codim"] = codim
+    details["coefficient_ideal_positive_codim"] = codim >= 1
+    ok = all(v for k, v in details.items() if isinstance(v, bool))
+    return CheckResult("identities", "pass" if ok else "fail",
+                       details, time.perf_counter() - t0)
+
+
+def _check_sing(ids: SchemeIdeals) -> CheckResult:
+    t0 = time.perf_counter()
+    return CheckResult("sing", "pass", ideal_block(ids.singular),
+                       time.perf_counter() - t0)
+
+
+def _check_kupka(ids: SchemeIdeals) -> CheckResult:
+    t0 = time.perf_counter()
+    gb = ids.kupka.groebner_basis(GREVLEX)
+    contained = all(normal_form(g, gb).is_zero for g in ids.singular.generators)
+    details = ideal_block(ids.kupka)
+    details["contains_singular_ideal"] = contained
+    return CheckResult("kupka", "pass" if contained else "fail", details,
+                       time.perf_counter() - t0)
+
+
+def _check_persistent(ids: SchemeIdeals) -> CheckResult:
+    t0 = time.perf_counter()
+    gb = ids.persistent_cap.groebner_basis(GREVLEX)
+    included = all(normal_form(g, gb).is_zero for g in ids.persistent_sum.generators)
+    details = {
+        "sum": ideal_block(ids.persistent_sum),
+        "cap": ideal_block(ids.persistent_cap),
+        "sum_included_in_cap": included,
+        "ideals_equal": ideal_equal(ids.persistent_sum, ids.persistent_cap),
+    }
+    return CheckResult("persistent", "pass" if included else "fail", details,
+                       time.perf_counter() - t0)
+
+
+def verify_lemma(ids: SchemeIdeals, waive_preconditions: bool = False) -> CheckResult:
     """Check the arrangement identity: the sum of complementary-product
     ideals equals the intersection of the (q+1)-fold divisor-sum ideals.
 
@@ -223,47 +280,22 @@ def verify_lemma(vs: ValidatedSpec, waive_preconditions: bool = False) -> CheckR
     violation recorded alongside the outcome.
     """
     t0 = time.perf_counter()
-    details = _preconditions(vs, residues=False)
+    details = _precondition_details(ids, residues=False)
     if not details["precondition_ok"] and not waive_preconditions:
         return CheckResult("lemma", "skipped", details, time.perf_counter() - t0)
-    sum_form = persistent_sum(vs)
-    cap_form = persistent_cap(vs)
-    equal = ideal_equal(sum_form, cap_form)
+    equal = ideal_equal(ids.persistent_sum, ids.persistent_cap)
     details["ideals_equal"] = equal
-    details["sum_generators"] = _generator_strings(sum_form)
-    details["cap_generators"] = _generator_strings(cap_form)
+    details["sum_generators"] = generator_strings(ids.persistent_sum)
+    details["cap_generators"] = generator_strings(ids.persistent_cap)
     status = "pass" if equal else "fail"
     return CheckResult("lemma", status, details, time.perf_counter() - t0)
-
-
-def verify_identities(vs: ValidatedSpec, form: PForm | None = None) -> CheckResult:
-    """Structural identities of the built form: descent (radial contraction
-    zero), integrability, decomposability in matrix mode, and a positive
-    codimension of the coefficient ideal."""
-    t0 = time.perf_counter()
-    if form is None:
-        form = build_form(vs)
-    details = {}
-    details["radial_contraction_zero"] = radial_contraction(form).is_zero
-    details["integrable"] = frobenius_check(form)
-    if vs.spec.mode == "matrix":
-        details["decomposable"] = plucker_check(form)
-    J = singular_ideal(form)
-    codim = vs.n - projective_dimension(J)
-    details["coefficient_ideal_projective_codim"] = codim
-    details["coefficient_ideal_positive_codim"] = codim >= 1
-    ok = all(v for k, v in details.items() if isinstance(v, bool))
-    return CheckResult("identities", "pass" if ok else "fail",
-                       details, time.perf_counter() - t0)
 
 
 DECOMPOSITION_CHECKS = ("kupka-codimension", "residual-dimension", "kupka-formula",
                         "disjointness", "singular-consistency")
 
 
-def verify_decomposition(vs: ValidatedSpec, ideals: SchemeIdeals | None = None,
-                         form: PForm | None = None,
-                         waive_preconditions: bool = False) -> VerificationReport:
+def verify_decomposition(ids: SchemeIdeals, waive_preconditions: bool = False) -> list:
     """Verify the decomposition of the singular scheme on one instance.
 
     Sub-checks, each reported independently:
@@ -285,20 +317,16 @@ def verify_decomposition(vs: ValidatedSpec, ideals: SchemeIdeals | None = None,
     sub-checks are still evaluated and carry the violations alongside.
     """
     t0 = time.perf_counter()
-    pre = _preconditions(vs, residues=True)
-    report = VerificationReport()
+    pre = _precondition_details(ids, residues=True)
     if not pre["precondition_ok"] and not waive_preconditions:
-        for name in DECOMPOSITION_CHECKS:
-            report.add(CheckResult(name, "skipped", dict(pre)))
-        report.checks[0].seconds = time.perf_counter() - t0
-        return report
-    swept = time.perf_counter() - t0
-    if ideals is None:
-        ideals = scheme_ideals(vs, form)
-    J, K, H = ideals.singular, ideals.kupka, ideals.residual
-    n, q, s = vs.n, vs.q, vs.s
+        checks = [CheckResult(name, "skipped", dict(pre)) for name in DECOMPOSITION_CHECKS]
+        checks[0].seconds = time.perf_counter() - t0
+        return checks
+    # the hypotheses and any ideal not built yet are charged to the first sub-check
+    J, K, H = ids.singular, ids.kupka, ids.residual
+    n, q, s = ids.vs.n, ids.vs.q, ids.vs.s
+    checks = []
 
-    t0 = time.perf_counter() - swept  # the sweep is charged to the first sub-check
     cone = krull_dimension(K)
     proj = max(cone - 1, -1)
     expected = n - (q + 1)
@@ -308,37 +336,37 @@ def verify_decomposition(vs: ValidatedSpec, ideals: SchemeIdeals | None = None,
         status = "pass"
     else:
         status = "fail"
-    report.add(CheckResult("kupka-codimension", status, {
+    checks.append(CheckResult("kupka-codimension", status, {
         "cone_dimension": cone,
         "projective_dimension": proj,
         "expected_projective_dimension": expected,
-        "generators": _generator_strings(K),
+        "generators": generator_strings(K),
     }, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     proj_h = projective_dimension(H)
     status = "pass" if proj_h <= q - 1 else "fail"
-    report.add(CheckResult("residual-dimension", status, {
+    checks.append(CheckResult("residual-dimension", status, {
         "projective_dimension": proj_h,
         "empty": proj_h == -1,
         "bound": q - 1,
-        "generators": _generator_strings(H),
+        "generators": generator_strings(H),
     }, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    same_locus, witness = radical_equal(K, ideals.persistent_cap)
-    strict = ideal_equal(K, ideals.persistent_cap)
+    same_locus, witness = radical_equal(K, ids.persistent_cap)
+    strict = ideal_equal(K, ids.persistent_cap)
     details = {"radical_equal": same_locus, "ideals_equal": strict,
-               "persistent_generators": _generator_strings(ideals.persistent_cap)}
+               "persistent_generators": generator_strings(ids.persistent_cap)}
     if witness:
         details["witness"] = witness
-    report.add(CheckResult("kupka-formula", "pass" if same_locus else "fail",
-                           details, time.perf_counter() - t0))
+    checks.append(CheckResult("kupka-formula", "pass" if same_locus else "fail",
+                              details, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     union = ideal_sum(K, H)
     proj_union = projective_dimension(union)
-    report.add(CheckResult("disjointness", "pass" if proj_union == -1 else "fail", {
+    checks.append(CheckResult("disjointness", "pass" if proj_union == -1 else "fail", {
         "intersection_projective_dimension": proj_union,
     }, time.perf_counter() - t0))
 
@@ -348,9 +376,22 @@ def verify_decomposition(vs: ValidatedSpec, ideals: SchemeIdeals | None = None,
     details = {"radical_equal": same}
     if witness:
         details["witness"] = witness
-    report.add(CheckResult("singular-consistency", "pass" if same else "fail",
-                           details, time.perf_counter() - t0))
+    checks.append(CheckResult("singular-consistency", "pass" if same else "fail",
+                              details, time.perf_counter() - t0))
     if not pre["precondition_ok"]:
-        for check in report.checks:
+        for check in checks:
             check.details.update(pre)
-    return report
+    return checks
+
+
+# Every entry maps (instance, waive_preconditions) to its results.  The
+# entries look the check functions up by name when called, so a wrapper
+# installed on a module-level name sees every call.
+CHECKS = {
+    "identities": lambda ids, waive: [verify_identities(ids)],
+    "sing": lambda ids, waive: [_check_sing(ids)],
+    "kupka": lambda ids, waive: [_check_kupka(ids)],
+    "persistent": lambda ids, waive: [_check_persistent(ids)],
+    "lemma": lambda ids, waive: [verify_lemma(ids, waive)],
+    "decomposition": lambda ids, waive: verify_decomposition(ids, waive),
+}

@@ -45,11 +45,11 @@ from logfol.groebner import (
 from logfol.poly import Poly
 from logfol.sampling import random_validated_spec
 from logfol.schemes import (
+    SchemeIdeals,
     kupka_ideal,
     persistent_cap,
     persistent_sum,
     residual_ideal,
-    scheme_ideals,
     singular_ideal,
     verify_decomposition,
 )
@@ -199,9 +199,8 @@ def test_criterion_3_decomposition_suite():
         t0 = time.perf_counter()
         suite = decomposition_suite()
         for label, vs, form in suite:
-            ids = scheme_ideals(vs, form)
-            report = verify_decomposition(vs, ids, form)
-            failed = [c.name for c in report.checks if c.status == "fail"]
+            ids = SchemeIdeals(vs)
+            failed = [c.name for c in verify_decomposition(ids) if c.status == "fail"]
             assert not failed, (label, failed)
             # the four headline assertions, re-stated directly
             assert projective_dimension(ids.kupka) == vs.n - vs.q - 1, label
@@ -314,8 +313,8 @@ def test_criterion_7_invariance_suite():
                                      [f.permuted(perm) for f in vs.divisors],
                                      residue_matrix=vs.spec.residue_matrix)
             vs_p = validate_spec(permuted, "basic")
-            direct = scheme_ideals(vs_p)
-            original = scheme_ideals(vs, form)
+            direct = SchemeIdeals(vs_p)
+            original = SchemeIdeals(vs)
             for attr in ("singular", "kupka", "residual"):
                 transported = Ideal(arity, [g.permuted(perm)
                                             for g in getattr(original, attr).generators])

@@ -1,7 +1,10 @@
+import collections
 import json
+import os
 
 import pytest
 
+from logfol import cli, foliation, schemes
 from logfol.cli import (
     EXIT_CHECKS,
     EXIT_IO,
@@ -18,6 +21,24 @@ GOOD_SPEC = {
     "residue_matrix": [[1, 2, -3]],
     "validation_level": "full-snc",
 }
+
+CONICS_SPEC = {
+    "n": 2,
+    "q": 1,
+    "divisors": ["x0^2 + x1^2 + x2^2", "x0^2 + 2*x1^2 + 3*x2^2", "x0^2 - x1^2 + 2*x2^2"],
+    "residue_matrix": [[1, 2, -3]],
+    "validation_level": "full-snc",
+}
+
+# specs that validate but build the zero form
+ZERO_FORM_SPECS = {
+    "zero-lambdas": {"n": 2, "q": 1, "divisors": ["x0", "x1", "x2"],
+                     "lambdas": {"1": 0, "2": 0, "3": 0}, "validation_level": "basic"},
+    "cancelling": {"n": 2, "q": 1, "divisors": ["x0", "2*x0", "x1", "3*x1"],
+                   "residue_matrix": [[1, -1, 2, -2]], "validation_level": "generic"},
+}
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "verify_reports.json")
 
 
 def write_spec(path, payload):
@@ -50,6 +71,12 @@ def test_bad_json_exits_one(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["check", str(path)]) == EXIT_IO
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"n": 2, "name": "caf\xe9"}')
+    assert main(["check", str(latin1)]) == EXIT_IO
+    folder = tmp_path / "x.json"
+    folder.mkdir()
+    assert main(["verify", str(folder)]) == EXIT_IO
 
 
 def test_bad_polynomial_exits_one(tmp_path):
@@ -104,12 +131,33 @@ def test_cone_fails_snc_at_depth_five(tmp_path, capsys):
     generic = write_spec(tmp_path / "cone-generic.json",
                          dict(payload, validation_level="generic",
                               checks=["lemma", "decomposition"]))
-    assert main(["verify", generic, "--format", "machine"]) == EXIT_OK
+    assert main(["verify", generic, "--format", "machine"]) == EXIT_VALIDATION
     report = json.loads(capsys.readouterr().out)
     assert {c["status"] for c in report["checks"]} == {"skipped"}
+    assert report["verdict"] == "precondition-failed"
     assert main(["verify", generic, "--waive-preconditions", "--format", "machine"]) == EXIT_CHECKS
     report = json.loads(capsys.readouterr().out)
     assert report["failed_checks"] == ["residual-dimension", "disjointness"]
+
+
+def test_zero_form_fails_validation(tmp_path, capsys, monkeypatch):
+    for label, payload in ZERO_FORM_SPECS.items():
+        spec = write_spec(tmp_path / f"{label}.json", payload)
+        for command in ("verify", "compute"):
+            assert main([command, spec, "--format", "machine"]) == EXIT_VALIDATION, label
+            report = json.loads(capsys.readouterr().out)
+            assert report["verdict"] == "validation-failed"
+            assert report["validation"]["failures"] == [
+                "[nonzero-form] built form: every coefficient is zero"]
+
+    def no_form(vs):
+        raise AssertionError("check built the form")
+
+    # check validates a matrix-mode spec without building its form
+    monkeypatch.setattr(foliation, "build_form", no_form)
+    monkeypatch.setattr(schemes, "build_form", no_form)
+    spec = write_spec(tmp_path / "cancelling.json", ZERO_FORM_SPECS["cancelling"])
+    assert main(["check", spec]) == EXIT_OK
 
 
 def test_level_override_flag(tmp_path):
@@ -209,6 +257,39 @@ def test_lambda_subset_key_errors(tmp_path):
         assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
 
 
+def test_verify_builds_each_ideal_and_sweep_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((foliation, "transversality_violations"),
+                         (schemes, "transversality_violations"),
+                         (schemes, "singular_ideal"),
+                         (schemes, "kupka_ideal"),
+                         (schemes, "persistent_cap")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    report, code = cli.run_verify(parse_spec_document(CONICS_SPEC, "conics-p2"))
+    assert code == EXIT_OK and report["verdict"] == "pass"
+    assert calls == {"transversality_violations": 1, "singular_ideal": 1,
+                     "kupka_ideal": 1, "persistent_cap": 1}
+
+
+def test_verify_reports_match_recorded_fixture(tmp_path, capsys):
+    """Machine reports of the worked P^2 instance and the conics instance,
+    timings stripped, as recorded before the instance pipeline was memoized."""
+    with open(FIXTURES, encoding="utf-8") as handle:
+        recorded = json.load(handle)
+    assert recorded["conics-p2"]["spec"] == CONICS_SPEC
+    for label, entry in sorted(recorded.items()):
+        spec = write_spec(tmp_path / f"{label}.json", entry["spec"])
+        assert main(["verify", spec, "--format", "machine"]) == EXIT_OK
+        assert strip_timings(json.loads(capsys.readouterr().out)) == entry["report"], label
+
+
 # -- batch --------------------------------------------------------------------------
 
 def test_batch_directory(tmp_path, capsys):
@@ -238,6 +319,20 @@ def test_batch_directory_flags_failures(tmp_path, capsys):
     verdicts = {r["name"]: r["verdict"] for r in summary["results"]}
     assert verdicts["good.json"] == "pass"
     assert verdicts["bad.json"] == "validation-failed"
+    # unreadable files and zero forms get their own verdicts, and --level
+    # applies to the parsed documents
+    (specs / "latin1.json").write_bytes(b'{"n": 2, "name": "caf\xe9"}')
+    (specs / "x.json").mkdir()
+    write_spec(specs / "list.json", [1, 2])
+    for label, payload in ZERO_FORM_SPECS.items():
+        write_spec(specs / f"{label}.json", payload)
+    code = main(["batch", str(specs), "--level", "basic", "--format", "machine"])
+    assert code == EXIT_VALIDATION
+    summary = json.loads(capsys.readouterr().out)
+    assert {r["name"]: r["verdict"] for r in summary["results"]} == {
+        "bad.json": "precondition-failed", "cancelling.json": "validation-failed",
+        "good.json": "pass", "latin1.json": "error", "list.json": "error",
+        "x.json": "error", "zero-lambdas.json": "validation-failed"}
 
 
 def test_batch_random_seed_deterministic(capsys):

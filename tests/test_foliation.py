@@ -11,8 +11,6 @@ from logfol.foliation import (
     build_form,
     factor_forms,
     lambda_table,
-    residues,
-    residues_along,
     transversality_violations,
     validate_spec,
 )
@@ -228,21 +226,10 @@ def test_built_forms_satisfy_identities():
 
 def test_residue_table_codim_one():
     vs = validate_spec(coordinate_spec(2, 1, 3, [[1, 2, -3]]), "generic")
-    assert residues(vs) == {(0,): 1, (1,): 2, (2,): -3}
+    assert vs.lambdas == {(0,): 1, (1,): 2, (2,): -3}
 
 
 def test_residue_table_matrix_minors():
     spec = coordinate_spec(3, 2, 3, [[1, 1, -2], [1, -1, 0]])
     vs = validate_spec(spec, "basic")
-    assert residues(vs) == {(0, 1): -2, (0, 2): 2, (1, 2): -2}
-
-
-def test_residues_along_divisor():
-    spec = coordinate_spec(3, 2, 4, [[4, 1, -2, -3], [1, 3, -2, -2]])
-    vs = validate_spec(spec, "full-snc")
-    along_first = residues_along(vs, 0)
-    assert set(along_first) == {(0, 1), (0, 2), (0, 3)}
-    assert all(0 in subset for subset in along_first)
-    assert along_first == {I: v for I, v in residues(vs).items() if 0 in I}
-    with pytest.raises(IndexError):
-        residues_along(vs, 9)
+    assert vs.lambdas == {(0, 1): -2, (0, 2): 2, (1, 2): -2}

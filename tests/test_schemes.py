@@ -18,12 +18,10 @@ from logfol.poly import Poly
 from logfol.sampling import random_validated_spec
 from logfol.schemes import (
     SchemeIdeals,
-    VerificationReport,
     kupka_ideal,
     persistent_cap,
     persistent_sum,
     residual_ideal,
-    scheme_ideals,
     singular_ideal,
     verify_decomposition,
     verify_identities,
@@ -41,6 +39,11 @@ def coordinate_vs(n, q, s, matrix, level="full-snc"):
 
 def gens_of(ideal):
     return sorted(str(g) for g in ideal.groebner_basis().elements)
+
+
+def decomposition(vs, waive=False):
+    """The decomposition sub-checks of one instance, by name."""
+    return {c.name: c for c in verify_decomposition(SchemeIdeals(vs), waive)}
 
 
 VS_P2 = coordinate_vs(2, 1, 3, [[1, 2, -3]])
@@ -124,7 +127,7 @@ def test_residual_ideal_examples():
 
 
 def test_scheme_ideals_bundle():
-    ids = scheme_ideals(VS_P2, OMEGA_P2)
+    ids = SchemeIdeals(VS_P2)
     assert isinstance(ids, SchemeIdeals)
     assert ideal_equal(ids.singular, ids.kupka)
     assert ids.residual.is_unit
@@ -147,13 +150,13 @@ def descent_rows(q, s):
 def test_lemma_passes_on_coordinate_instances():
     for (n, q, s) in [(2, 1, 3), (3, 1, 4), (3, 2, 3), (4, 3, 4)]:
         vs = coordinate_vs(n, q, s, descent_rows(q, s), level="basic")
-        result = verify_lemma(vs)
+        result = verify_lemma(SchemeIdeals(vs))
         assert result.status == "pass", (n, q, s, result.details)
         assert result.details["precondition_ok"]
 
 
 def test_lemma_trivial_single_intersectand():
-    result = verify_lemma(VS_P3_Q2)
+    result = verify_lemma(SchemeIdeals(VS_P3_Q2))
     assert result.status == "pass"
     assert result.details["ideals_equal"]
 
@@ -162,12 +165,13 @@ def test_lemma_precondition_violated_is_not_a_counterexample():
     x = variables(3)
     spec = FoliationSpec(2, 1, [x[0], x[1], x[0] + x[1]], residue_matrix=[[1, 2, -3]])
     vs = validate_spec(spec, "generic")
-    skipped = verify_lemma(vs)
+    ids = SchemeIdeals(vs)
+    skipped = verify_lemma(ids)
     assert skipped.status == "skipped"
     assert not skipped.details["precondition_ok"]
     assert skipped.details["violations"] == ["{1,2,3}"]
     assert "precondition violated: snc at {1,2,3}" == skipped.details["message"]
-    forced = verify_lemma(vs, waive_preconditions=True)
+    forced = verify_lemma(ids, waive_preconditions=True)
     assert forced.status == "fail"
     assert forced.details["ideals_equal"] is False
     assert not forced.details["precondition_ok"]
@@ -176,9 +180,9 @@ def test_lemma_precondition_violated_is_not_a_counterexample():
 # -- decomposition report ----------------------------------------------------------
 
 def test_decomposition_worked_instance_p2():
-    report = verify_decomposition(VS_P2)
-    assert report.passed
-    names = [c.name for c in report.checks]
+    report = decomposition(VS_P2)
+    assert all(c.status != "fail" for c in report.values())
+    names = list(report)
     assert names == ["kupka-codimension", "residual-dimension", "kupka-formula",
                      "disjointness", "singular-consistency"]
     codim = report["kupka-codimension"]
@@ -188,15 +192,15 @@ def test_decomposition_worked_instance_p2():
 
 
 def test_decomposition_codim_two_instance_p3():
-    report = verify_decomposition(VS_P3_Q2)
-    assert report.passed
+    report = decomposition(VS_P3_Q2)
+    assert all(c.status != "fail" for c in report.values())
     assert report["kupka-codimension"].details["projective_dimension"] == 0  # codim 3
 
 
 def test_decomposition_four_hyperplanes_p3():
     vs = coordinate_vs(3, 1, 4, [[1, 2, 3, -6]])
-    report = verify_decomposition(vs)
-    assert report.passed
+    report = decomposition(vs)
+    assert all(c.status != "fail" for c in report.values())
     # six coordinate lines in P^3: dimension 1 = n - (q+1)
     assert report["kupka-codimension"].details["projective_dimension"] == 1
 
@@ -208,9 +212,9 @@ def test_decomposition_three_conics_p2():
                                 P("x0^2 - x1^2 + 2*x2^2", 3)],
                          residue_matrix=[[1, 2, -3]])
     vs = validate_spec(spec, "full-snc")
-    ids = scheme_ideals(vs)
-    report = verify_decomposition(vs, ids)
-    assert report.passed
+    ids = SchemeIdeals(vs)
+    report = {c.name: c for c in verify_decomposition(ids)}
+    assert all(c.status != "fail" for c in report.values())
     assert not ids.residual.is_unit  # nonempty residual part
     assert report["residual-dimension"].details["projective_dimension"] == 0
 
@@ -228,41 +232,33 @@ def test_decomposition_on_a_cone_is_a_failed_precondition():
         ("transversality", "subset {1,2,3,4,5}")]
 
     vs = validate_spec(spec, "generic")
-    report = verify_decomposition(vs)
-    assert [c.status for c in report.checks] == ["skipped"] * 5
-    for check in report.checks:
+    report = decomposition(vs)
+    assert [c.status for c in report.values()] == ["skipped"] * 5
+    for check in report.values():
         assert not check.details["precondition_ok"]
         assert check.details["violations"] == ["{1,2,3,4,5}"]
         assert check.details["degenerate_strata"] == []
 
-    waived = verify_decomposition(vs, waive_preconditions=True)
+    waived = decomposition(vs, waive=True)
     residual = waived["residual-dimension"]
     assert residual.status == "fail"
     assert residual.details["generators"] == ["x1 + 1/2*x4", "x2 + 2/3*x4", "x3 - x4"]
     assert waived["disjointness"].status == "fail"
-    assert all(c.details["violations"] == ["{1,2,3,4,5}"] for c in waived.checks)
+    assert all(c.details["violations"] == ["{1,2,3,4,5}"] for c in waived.values())
 
 
 def test_decomposition_skips_degenerate_residues():
     # residues 1 and 1 collide, so the stratum {1,2} degenerates
     vs = coordinate_vs(2, 1, 3, [[1, 1, -2]], level="basic")
-    report = verify_decomposition(vs)
-    assert [c.status for c in report.checks] == ["skipped"] * 5
+    report = decomposition(vs)
+    assert [c.status for c in report.values()] == ["skipped"] * 5
     details = report["kupka-formula"].details
     assert details["violations"] == [] and details["degenerate_strata"] == ["{1,2}"]
     assert details["message"] == "precondition violated: degenerate residues at {1,2}"
 
 
-def test_report_rejects_duplicate_names():
-    report = VerificationReport()
-    from logfol.schemes import CheckResult
-    report.add(CheckResult("x", "pass"))
-    with pytest.raises(ValueError):
-        report.add(CheckResult("x", "fail"))
-
-
 def test_identities_check():
-    result = verify_identities(VS_P2, OMEGA_P2)
+    result = verify_identities(SchemeIdeals(VS_P2))
     assert result.status == "pass"
     assert result.details["radial_contraction_zero"]
     assert result.details["integrable"]
@@ -307,8 +303,8 @@ def test_permutation_equivariance():
     permuted_spec = FoliationSpec(3, 1, [f.permuted(perm) for f in spec.divisors],
                                   residue_matrix=[[1, 2, 3, -6]])
     vs_p = validate_spec(permuted_spec, "generic")
-    ids = scheme_ideals(vs)
-    ids_p = scheme_ideals(vs_p)
+    ids = SchemeIdeals(vs)
+    ids_p = SchemeIdeals(vs_p)
     for attr in ("singular", "kupka", "persistent_sum", "persistent_cap", "residual"):
         direct = getattr(ids_p, attr)
         transported = Ideal(4, [g.permuted(perm)
