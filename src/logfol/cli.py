@@ -357,7 +357,9 @@ def run_batch(target: str, seed: int, workers: int, level: str | None,
         "reports": reports,
     }
     worst = max((r["exit_code"] for r in reports), default=EXIT_OK)
-    summary["verdict"] = "pass" if worst == EXIT_OK else "fail"
+    # the verdict of the first report, by name, with the batch's exit code
+    summary["verdict"] = "pass" if worst == EXIT_OK else next(
+        r["verdict"] for r in reports if r["exit_code"] == worst)
     return summary, worst
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .forms import PForm, radial_contraction, wedge
+from .forms import PForm, exterior_derivative, radial_contraction, wedge
 from .groebner import Ideal, krull_dimension
 from .poly import Poly
 
@@ -369,14 +369,7 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
 def build_form(vs: ValidatedSpec) -> PForm:
     """The polynomial q-form sum_I lambda_I (prod_{j not in I} f_j) df_I."""
     arity = vs.arity
-    differentials = []
-    for f in vs.divisors:
-        coeffs = {}
-        for j in range(arity):
-            df = f.partial_derivative(j)
-            if not df.is_zero:
-                coeffs[(j,)] = df
-        differentials.append(PForm(arity, 1, coeffs))
+    differentials = [exterior_derivative(PForm(arity, 0, {(): f})) for f in vs.divisors]
     total = PForm(arity, vs.q)
     for subset in sorted(vs.lambdas):
         scalar = vs.lambdas[subset]
@@ -402,13 +395,8 @@ def factor_forms(vs: ValidatedSpec) -> list:
         for i, entry in enumerate(row):
             if entry == 0:
                 continue
-            f = vs.divisors[i]
-            coeffs = {}
-            for j in range(arity):
-                df = f.partial_derivative(j)
-                if not df.is_zero:
-                    coeffs[(j,)] = df
-            form = form + PForm(arity, 1, coeffs) * (vs.complement_product((i,)) * entry)
+            df = exterior_derivative(PForm(arity, 0, {(): vs.divisors[i]}))
+            form = form + df * (vs.complement_product((i,)) * entry)
         out.append(form)
     return out
 

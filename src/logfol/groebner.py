@@ -7,8 +7,11 @@ criteria.  Everything else in the module reduces to it:
 * membership and normal forms come from the division algorithm,
 * intersections come from elimination of an auxiliary variable ``t``
   (``t*I + (1-t)*J`` under a block order),
-* colon ideals divide the intersection with a principal ideal,
-* saturation iterates colon ideals to a fixed point,
+* the colon by a polynomial divides the intersection with the principal
+  ideal it generates, and ``module_annihilator`` is the one colon by an
+  ideal: it intersects those colons and skips each one that the
+  intersection so far already lies in,
+* saturation iterates ``module_annihilator`` to a fixed point,
 * radical membership is decided by adjoining ``1 - t*f``,
 * Krull dimension is read off the leading-term ideal as the size of the
   largest subset of variables meeting the support of no leading monomial.
@@ -45,13 +48,6 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # the Buchberger engine (works on raw term dicts)
 # ---------------------------------------------------------------------------
-
-def _monic(terms: dict, lc: Fraction) -> dict:
-    if lc == 1:
-        return terms
-    inv = _ONE / lc
-    return {m: c * inv for m, c in terms.items()}
-
 
 def _prep(terms: dict, order) -> tuple:
     """Split a nonzero term dict into (leading monomial, monic tail list)."""
@@ -96,15 +92,17 @@ def _reduce(p: dict, basis: list, order) -> dict:
     return remainder
 
 
-def _spoly(lm_f, f_terms, lm_g, g_terms, order) -> dict:
-    """S-polynomial of two monic polynomials given as term dicts."""
+def _spoly(f: tuple, g: tuple) -> dict:
+    """S-polynomial of two monic basis entries ``(lm, tail)``.
+
+    The leading terms cancel, so only the shifted tails are combined.
+    """
+    (lm_f, tail_f), (lm_g, tail_g) = f, g
     lcm = mono_lcm(lm_f, lm_g)
     uf = mono_div(lcm, lm_f)
     ug = mono_div(lcm, lm_g)
-    out = {}
-    for m, c in f_terms.items():
-        out[mono_mul(m, uf)] = c
-    for m, c in g_terms.items():
+    out = {mono_mul(m, uf): c for m, c in tail_f}
+    for m, c in tail_g:
         nm = mono_mul(m, ug)
         acc = out.get(nm, 0) - c
         if acc:
@@ -133,20 +131,17 @@ def groebner_terms(generators: list[dict], order) -> list[dict]:
     seed.sort(key=lambda g: (order.key(max(g, key=order.key)), len(g)))
 
     basis = []        # list of (lm, tail) with tail monic
-    full = []         # list of monic term dicts, parallel to basis
     pairs = []        # heap of (lcm degree, lcm key, i, j)
     pending = set()   # pairs not yet treated, for the chain criterion
 
     def add(terms: dict):
-        lm = max(terms, key=order.key)
-        monic = _monic(terms, terms[lm])
+        lm, tail = _prep(terms, order)
         j = len(basis)
         for i, (lm_i, _) in enumerate(basis):
             lcm = mono_lcm(lm_i, lm)
             heapq.heappush(pairs, (mono_degree(lcm), order.key(lcm), i, j))
             pending.add((i, j))
-        basis.append((lm, [(m, c) for m, c in monic.items() if m != lm]))
-        full.append(monic)
+        basis.append((lm, tail))
 
     for g in seed:
         r = _reduce(g, basis, order)
@@ -172,8 +167,7 @@ def groebner_terms(generators: list[dict], order) -> list[dict]:
                     break
         if skip:
             continue
-        s = _spoly(lm_i, full[i], lm_j, full[j], order)
-        r = _reduce(s, basis, order)
+        r = _reduce(_spoly(basis[i], basis[j]), basis, order)
         if r:
             lm_r = max(r, key=order.key)
             if mono_degree(lm_r) == 0:
@@ -181,23 +175,14 @@ def groebner_terms(generators: list[dict], order) -> list[dict]:
             add(r)
 
     # minimal basis: drop entries whose leading monomial another one divides
-    order_by_lm = sorted(range(len(basis)), key=lambda i: order.key(basis[i][0]))
     kept = []
-    for i in order_by_lm:
-        lm = basis[i][0]
-        if not any(mono_divides(basis[k][0], lm) for k in kept):
-            kept.append(i)
+    for lm, tail in sorted(basis, key=lambda e: order.key(e[0])):
+        if not any(mono_divides(k, lm) for k, _ in kept):
+            kept.append((lm, tail))
 
     # inter-reduce tails; leading monomials are untouched by construction
-    reduced = {i: full[i] for i in kept}
-    for i in kept:
-        others = [_prep(reduced[k], order) for k in kept if k != i]
-        r = _reduce(reduced[i], others, order)
-        lm = max(r, key=order.key)
-        reduced[i] = _monic(r, r[lm])
-
-    out = sorted(reduced.values(), key=lambda t: order.key(max(t, key=order.key)), reverse=True)
-    return out
+    return [{lm: _ONE, **_reduce(dict(tail), [e for e in kept if e[0] != lm], order)}
+            for lm, tail in reversed(kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +203,6 @@ class GroebnerBasis:
 
     def leading_monomials(self):
         return [lm for lm, _ in self._prepped]
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -323,22 +305,9 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     if I.is_zero or J.is_zero:
         return Ideal(I.arity)
     arity = I.arity
-    gens = []
-    for g in I.generators:
-        gens.append(_extend_front(g.terms, 1))
-    one_minus_t = {(0,) * (arity + 1): _ONE, (1,) + (0,) * arity: -_ONE}
-    for g in J.generators:
-        ext = _extend_front(g.terms)
-        prod = {}
-        for m1, c1 in one_minus_t.items():
-            for m2, c2 in ext.items():
-                mono = mono_mul(m1, m2)
-                acc = prod.get(mono, 0) + c1 * c2
-                if acc:
-                    prod[mono] = acc
-                else:
-                    del prod[mono]
-        gens.append(prod)
+    gens = [_extend_front(g.terms, 1) for g in I.generators]
+    # (1-t)*g: the halves g and -t*g share no monomial
+    gens += [{**_extend_front(g.terms), **_extend_front((-g).terms, 1)} for g in J.generators]
     eliminated = groebner_terms(gens, Block(1))
     # the t-free part of a Groebner basis under the elimination order is a
     # Groebner basis of the intersection
@@ -356,9 +325,6 @@ def intersect_all(ideals, arity: int) -> Ideal:
         return Ideal.unit(arity)
     acc = ideals[0]
     for nxt in ideals[1:]:
-        if acc.is_unit:
-            acc = nxt
-            continue
         acc = ideal_intersection(acc, nxt)
     return acc
 
@@ -367,8 +333,6 @@ def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
     """The colon ideal I : g = {h : h*g in I}."""
     if g.is_zero:
         raise ValueError("colon ideal by the zero polynomial")
-    if I.contains(g):
-        return Ideal.unit(I.arity)
     inter = ideal_intersection(I, Ideal(I.arity, [g]))
     return Ideal(I.arity, [exact_div(h, g) for h in inter.generators])
 
@@ -379,12 +343,7 @@ def ideal_saturation(I: Ideal, J: Ideal) -> Ideal:
         raise ValueError("arity mismatch between ideals")
     current = I
     while True:
-        colons = []
-        for g in J.generators:
-            if current.contains(g):
-                continue  # colon by an element of the ideal is the whole ring
-            colons.append(ideal_quotient(current, g))
-        nxt = intersect_all(colons, I.arity)
+        nxt = module_annihilator(J.generators, current)
         if ideal_equal(nxt, current):
             return current
         current = nxt
@@ -402,13 +361,9 @@ def radical_membership(f: Poly, I: Ideal) -> bool:
         return True
     if I.is_zero:
         return False
-    arity = I.arity
     gens = [_extend_front(g.terms) for g in I.generators]
-    trick = {(0,) * (arity + 1): _ONE}
-    for m, c in f.terms.items():
-        mono = (1,) + m
-        trick[mono] = trick.get(mono, 0) - c
-    gens.append({m: c for m, c in trick.items() if c})
+    # 1-t*f: the halves 1 and -t*f share no monomial
+    gens.append({**_extend_front(Poly.one(I.arity).terms), **_extend_front((-f).terms, 1)})
     gb = groebner_terms(gens, GREVLEX)
     return len(gb) == 1 and mono_degree(next(iter(gb[0]))) == 0
 
@@ -446,15 +401,21 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 
 def module_annihilator(components, I: Ideal) -> Ideal:
-    """Annihilator of the class of a coefficient vector modulo I.
+    """The colon ideal I : (b_1..b_N), the annihilator of a vector modulo I.
 
-    ``components`` are the coordinates of an element of a free module over
-    the quotient ring by I; the annihilator is the intersection of the colon
-    ideals I : b over the components b that are nonzero modulo I.  When every
-    component lies in I the class is zero and the whole ring is returned.
+    ``components`` are the coordinates b_i of an element of a free module
+    over the quotient ring by I, and the colon ideal is the intersection of
+    the colons I : b_i.  The intersection so far, ``acc``, starts as the
+    whole ring; a component b is skipped when h*b lies in I for every
+    generator h of ``acc``, because then ``acc`` is inside I : b already.
+    With ``acc`` the whole ring that is the test b in I, so a vector whose
+    components all lie in I has the whole ring as its annihilator.
     """
     gb = I.groebner_basis(GREVLEX)
-    live = [b for b in components if not normal_form(b, gb).is_zero]
-    if not live:
-        return Ideal.unit(I.arity)
-    return intersect_all((ideal_quotient(I, b) for b in live), I.arity)
+    whole = acc = Ideal.unit(I.arity)
+    for b in components:
+        if all(normal_form(h * b, gb).is_zero for h in acc.generators):
+            continue
+        colon = ideal_quotient(I, b)
+        acc = colon if acc is whole else ideal_intersection(acc, colon)
+    return acc

@@ -349,9 +349,6 @@ class Poly:
 
     # -- printing -------------------------------------------------------------
 
-    def to_str(self, names=None) -> str:
-        return poly_to_str(self, names)
-
     def __str__(self):
         return poly_to_str(self)
 

@@ -319,6 +319,7 @@ def test_batch_directory_flags_failures(tmp_path, capsys):
     verdicts = {r["name"]: r["verdict"] for r in summary["results"]}
     assert verdicts["good.json"] == "pass"
     assert verdicts["bad.json"] == "validation-failed"
+    assert summary["verdict"] == "validation-failed"
     # unreadable files and zero forms get their own verdicts, and --level
     # applies to the parsed documents
     (specs / "latin1.json").write_bytes(b'{"n": 2, "name": "caf\xe9"}')
@@ -333,6 +334,7 @@ def test_batch_directory_flags_failures(tmp_path, capsys):
         "bad.json": "precondition-failed", "cancelling.json": "validation-failed",
         "good.json": "pass", "latin1.json": "error", "list.json": "error",
         "x.json": "error", "zero-lambdas.json": "validation-failed"}
+    assert summary["verdict"] == "precondition-failed"
 
 
 def test_batch_random_seed_deterministic(capsys):

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from logfol import groebner
 from logfol.groebner import (
     GroebnerBasis,
     Ideal,
@@ -28,8 +30,10 @@ from conftest import (
     oracle_dimension,
     oracle_intersection,
     oracle_saturation,
+    random_homogeneous_poly,
     random_monomial,
     random_monomial_ideal_gens,
+    random_poly,
     variables,
 )
 
@@ -332,10 +336,72 @@ def test_sum_vs_cap_identity_smallest_case():
 
 # -- module annihilator -------------------------------------------------------------------------
 
-def test_module_annihilator_examples():
+def test_module_annihilator_examples(monkeypatch):
     x0, x1, x2 = variables(3)
     I = Ideal(3, [x0 * x1, x0 * x2, x1 * x2])
     ann = module_annihilator([x2, -4 * x1, -5 * x0], I)
     assert ideal_equal(ann, I)
     assert module_annihilator([x0 * x1, x1 * x2], I).is_unit
     assert gens_of(module_annihilator([x0], Ideal(3, [x0 * x1]))) == ["x1"]
+
+    # I : (b_1..b_N) is the intersection of the colons I : b_i, also with
+    # components that lie in I, repeat, or are multiples of an earlier one
+    rng = random.Random(58)
+    for _ in range(8):
+        I = Ideal(3, [random_homogeneous_poly(rng, 3, 2, 3) for _ in range(2)])
+        if I.is_zero:
+            continue
+        b, c = (random_homogeneous_poly(rng, 3, 1, 2) for _ in range(2))
+        components = [b, I.generators[0], c, b, b * random_homogeneous_poly(rng, 3, 1, 2)]
+        components = [g for g in components if not g.is_zero]
+        ann = module_annihilator(components, I)
+        reference = intersect_all([ideal_quotient(I, g) for g in components], 3)
+        assert ideal_equal(ann, reference)
+        gb = I.groebner_basis()
+        for h in ann.generators:
+            for g in components:
+                assert normal_form(h * g, gb).is_zero
+
+    # x0*x2 and x0^2 are skipped: (x1) already annihilates them modulo (x0*x1)
+    calls = []
+
+    def counting_quotient(J, g):
+        calls.append(g)
+        return ideal_quotient(J, g)
+
+    monkeypatch.setattr(groebner, "ideal_quotient", counting_quotient)
+    ann = module_annihilator([x0, x0 * x2, x0 * x0], Ideal(3, [x0 * x1]))
+    assert gens_of(ann) == ["x1"]
+    assert calls == [x0]
+
+
+# -- independent oracle: SymPy's reduced Groebner bases ----------------------------------------
+
+def _sympy_reduced_basis(sympy, gens, arity, order_name):
+    """SymPy's reduced basis over QQ, monic in the same order, as term sets."""
+    xs = sympy.symbols(f"x0:{arity}")
+    polys = [sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                   for m, c in g.terms.items()}, *xs, domain="QQ")
+             for g in gens]
+    out = set()
+    for p in sympy.groebner(polys, *xs, order=order_name, domain="QQ").polys:
+        p = p.to_field()
+        p = p.quo_ground(p.LC(order=order_name))
+        out.add(frozenset((m, Fraction(str(c))) for m, c in p.as_dict().items()))
+    return out
+
+
+def test_reduced_bases_match_sympy():
+    """Non-homogeneous ideals reach S-polynomial tails the monomial oracles miss."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2208)
+    for _ in range(60):
+        arity = rng.randint(2, 4)
+        gens = [random_poly(rng, arity, 3, 3) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        I = Ideal(arity, gens)
+        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            engine = {frozenset(g.terms.items()) for g in I.groebner_basis(order).elements}
+            assert engine == _sympy_reduced_basis(sympy, gens, arity, name), (gens, name)
