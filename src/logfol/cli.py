@@ -14,7 +14,8 @@ README.md and enforced here):
 Verdicts and exit codes:
 
 * 0 ``pass``: every check run passed (``check``: the spec validates);
-* 1 ``error``: the spec file cannot be read or parsed;
+* 1 ``error``: the spec file cannot be read or parsed, or a batch
+  instance raised an unexpected exception;
 * 2 ``validation-failed``: the spec fails its validation level, or its
   form is zero; ``precondition-failed``: no check failed, but some were
   skipped because the instance breaks the paper's hypotheses;
@@ -101,7 +102,7 @@ class SpecDocument:
         out = {
             "n": spec.n,
             "q": spec.q,
-            "divisors": [poly_to_str(f) for f in spec.divisors],
+            "divisors": [poly_to_str(f, self.variables) for f in spec.divisors],
             "validation_level": self.level,
             "checks": list(self.checks),
         }
@@ -289,8 +290,13 @@ def run_verify(doc: SpecDocument, waive: bool = False) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _batch_worker(item) -> dict:
+    """Verify one batch document; any exception is that document's ``error``."""
     doc, waive = item
-    report, code = run_verify(doc, waive)
+    try:
+        report, code = run_verify(doc, waive)
+    except Exception as exc:  # one bad instance must not abort the batch
+        return {"name": doc.name, "verdict": "error",
+                "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_IO}
     report["exit_code"] = code
     return report
 

@@ -16,6 +16,27 @@ criteria.  Everything else in the module reduces to it:
 * Krull dimension is read off the leading-term ideal as the size of the
   largest subset of variables meeting the support of no leading monomial.
 
+Inside the engine every number is a Python int.  Coefficients are integers:
+a basis entry is ``(lm, lc, tail, top)``, a primitive polynomial with a
+positive leading coefficient ``lc``, and ``_reduce`` is fraction-free.  It
+scales the work polynomial by ``lc/gcd`` before subtracting ``c/gcd`` times a
+shifted entry, and keeps the product of those factors, so that ``remainder /
+scale`` is the exact rational normal form.  A monomial is one int: a
+``_Layout`` packs the exponents of one (order, arity) into fixed-width
+fields, and gives each grevlex block a degree field above its variables.
+Each field's top bit is a guard bit that stays clear.  Multiplying
+monomials adds their ints, and x^a divides x^b exactly when
+``(b - a) & guard`` is zero.  The order key is ``p ^ flip``, where ``flip``
+complements the variable fields that grevlex compares in reverse, so that
+comparing monomials compares ints.  ``top`` packs the largest value of every
+field over an entry's tail.  Before a shifted tail is formed, one guard-bit
+test of ``shift + top`` catches any field that would overflow, and the
+computation starts again at twice the field width, so a fixed width never
+overflows silently.  The first width comes from the input degrees.
+Fractions and exponent tuples appear only at the boundary: on entry to
+``groebner_terms`` and ``normal_form`` and on their exit.
+``GroebnerBasis`` keeps its packed integer entries for ``normal_form``.
+
 Ideals are homogeneous by construction (intermediate elimination steps are
 not, which is fine for Buchberger); reduced bases are cached per order on
 the ideal object, so repeated queries are cheap.
@@ -23,22 +44,21 @@ the ideal object, so repeated queries are cheap.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .poly import (
     GREVLEX,
     Block,
+    Lex,
     MonomialOrder,
     Poly,
     exact_div,
     mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     mono_support,
 )
 
@@ -46,65 +66,178 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# the Buchberger engine (works on raw term dicts)
+# packed monomials
 # ---------------------------------------------------------------------------
 
-def _prep(terms: dict, order) -> tuple:
-    """Split a nonzero term dict into (leading monomial, monic tail list)."""
-    lm = max(terms, key=order.key)
-    lc = terms[lm]
-    inv = _ONE / lc
-    tail = [(m, c * inv) for m, c in terms.items() if m != lm]
-    return lm, tail
+class _Overflow(Exception):
+    """A packed exponent or degree would not fit below its guard bit."""
 
 
-def _reduce(p: dict, basis: list, order) -> dict:
-    """Full normal form of ``p`` modulo monic basis entries ``(lm, tail)``.
+class _Layout:
+    """Packing of the exponent vectors of one (order, arity) into ints.
 
-    Monomials are processed from the largest down; every reduction step only
-    creates strictly smaller monomials, so each monomial is handled once.
+    Fields run from the most significant down.  Lex has one field per
+    variable, x0 first.  Each grevlex block (the whole ring for grevlex; the
+    prefix and the rest for ``Block``) has its degree field first and then
+    its variables from the last to the first; a block of one variable needs
+    only its exponent.  Variable fields after a degree field are compared in
+    reverse, so ``flip`` holds their value bits.  Every field holds values
+    up to ``cap`` below a clear guard bit.
     """
-    work = dict(p)
-    heap = [(order.revkey(m), m) for m in work]
-    heapq.heapify(heap)
-    remainder = {}
+
+    def __init__(self, order, arity: int, bits: int):
+        # (variables, kind): "deg" sums its variables, "rev" compares in reverse
+        if isinstance(order, Lex):
+            fields = [((i,), "var") for i in range(arity)]
+        else:
+            cut = order.prefix if isinstance(order, Block) else 0
+            fields = []
+            for block in (range(cut), range(cut, arity)):
+                if len(block) == 1:
+                    fields.append(((block[0],), "var"))  # its degree is its exponent
+                elif block:
+                    fields.append((tuple(block), "deg"))
+                    fields += [((i,), "rev") for i in reversed(block)]
+        self.bits = bits
+        self.cap = cap = (1 << bits) - 1
+        placed = [(field, (bits + 1) * k) for k, field in enumerate(reversed(fields))]
+        # packing is linear: an exponent adds to its own field and its degree field
+        self._weights = [0] * arity
+        self._shifts = [0] * arity
+        for (variables, kind), s in placed:
+            for i in variables:
+                self._weights[i] += 1 << s
+            if kind != "deg":
+                self._shifts[variables[0]] = s
+        self.guard = sum(1 << (s + bits) for _, s in placed)
+        self.flip = sum(cap << s for (_, kind), s in placed if kind == "rev")
+        self.rev = ~self.flip  # p ^ rev decreases as the monomial grows
+
+    def pack(self, exps) -> int:
+        """Packed monomial; the total degree bounds every field."""
+        if sum(exps) > self.cap:
+            raise _Overflow
+        return sum([e * w for e, w in zip(exps, self._weights)])
+
+    def unpack(self, p: int) -> tuple:
+        cap = self.cap
+        return tuple([(p >> s) & cap for s in self._shifts])
+
+    def fieldmax(self, monomials) -> int:
+        """Packed fieldwise maximum (0 for no monomials)."""
+        guard, bits = self.guard, self.bits
+        top = 0
+        for m in monomials:
+            ge = ((top | guard) - m) & guard   # guard bit set where top >= m
+            keep = ge - (ge >> bits)           # the value bits of those fields
+            top = (top & keep) | (m & ~keep)
+        return top
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(order, arity: int, bits: int) -> _Layout:
+    return _Layout(order, arity, bits)
+
+
+def _bits_for(degree: int) -> int:
+    """Initial field width for inputs of this total degree: room for lcms."""
+    return max(4, (4 * degree).bit_length())
+
+
+# ---------------------------------------------------------------------------
+# the Buchberger engine (integer coefficients, packed monomials)
+# ---------------------------------------------------------------------------
+
+def _integral(terms: dict) -> dict:
+    """The integer multiple of a nonzero rational term dict with coprime coefficients."""
+    denom = lcm(*(c.denominator for c in terms.values()))
+    out = {m: c.numerator * (denom // c.denominator) for m, c in terms.items()}
+    content = gcd(*out.values())
+    return {m: c // content for m, c in out.items()}
+
+
+def _entry(terms: dict, layout: _Layout) -> tuple:
+    """Basis entry ``(lm, lc, tail, top)`` of a nonzero packed polynomial,
+    divided by its content and signed so that ``lc > 0``."""
+    flip = layout.flip
+    lm = max(terms, key=lambda m: m ^ flip)
+    content = gcd(*terms.values())
+    if terms[lm] < 0:
+        content = -content
+    tail = [(m, c // content) for m, c in terms.items() if m != lm]
+    return lm, terms[lm] // content, tail, layout.fieldmax(m for m, _ in tail)
+
+
+def _reduce(terms: dict, basis: list, layout: _Layout) -> tuple:
+    """Fraction-free full reduction of ``terms`` modulo basis entries.
+
+    Returns ``(remainder, scale)``: ``scale > 0`` and ``scale*terms -
+    remainder`` lies in the ideal of the entries, so ``remainder / scale``
+    is the rational normal form.  Monomials are processed from the largest
+    down; every step only creates strictly smaller monomials, so each
+    monomial is handled once, and its coefficient is final when it is
+    popped.  A final term records the scale at that moment and is brought
+    to the last scale at the end.
+    """
+    guard, rev = layout.guard, layout.rev
+    work = dict(terms)
+    heap = [m ^ rev for m in work]
+    heapify(heap)
+    done = []
+    scale = 1
     while heap:
-        _, m = heapq.heappop(heap)
-        c = work.pop(m, None)
+        m = heappop(heap) ^ rev
+        c = work.pop(m, 0)
         if not c:
             continue
-        for lm, tail in basis:
-            if mono_divides(lm, m):
-                shift = mono_div(m, lm)
-                for tm, tc in tail:
-                    nm = mono_mul(tm, shift)
-                    old = work.get(nm)
-                    acc = (old or 0) - c * tc
-                    if acc:
-                        if old is None:
-                            heapq.heappush(heap, (order.revkey(nm), nm))
-                        work[nm] = acc
-                    elif old is not None:
+        for lm, lc, tail, top in basis:
+            shift = m - lm
+            if shift & guard:
+                continue
+            if (shift + top) & guard:
+                raise _Overflow
+            if lc != 1:
+                g = gcd(c, lc)
+                if g != lc:
+                    f = lc // g
+                    scale *= f
+                    for k in work:
+                        work[k] *= f
+                c //= g
+            for tm, tc in tail:
+                nm = tm + shift
+                old = work.get(nm)
+                if old is None:
+                    work[nm] = -c * tc
+                    heappush(heap, nm ^ rev)
+                else:
+                    old -= c * tc
+                    if old:
+                        work[nm] = old
+                    else:
                         del work[nm]
-                break
+            break
         else:
-            remainder[m] = c
-    return remainder
+            done.append((m, c, scale))
+    return {m: c * (scale // s) for m, c, s in done}, scale
 
 
-def _spoly(f: tuple, g: tuple) -> dict:
-    """S-polynomial of two monic basis entries ``(lm, tail)``.
+def _spoly(f: tuple, g: tuple, lcm_fg: int, guard: int) -> dict:
+    """Integer S-polynomial of two basis entries with the given packed lcm.
 
     The leading terms cancel, so only the shifted tails are combined.
     """
-    (lm_f, tail_f), (lm_g, tail_g) = f, g
-    lcm = mono_lcm(lm_f, lm_g)
-    uf = mono_div(lcm, lm_f)
-    ug = mono_div(lcm, lm_g)
-    out = {mono_mul(m, uf): c for m, c in tail_f}
+    lm_f, lc_f, tail_f, top_f = f
+    lm_g, lc_g, tail_g, top_g = g
+    uf, ug = lcm_fg - lm_f, lcm_fg - lm_g
+    if (uf + top_f) & guard or (ug + top_g) & guard:
+        raise _Overflow
+    d = gcd(lc_f, lc_g)
+    a, b = lc_f // d, lc_g // d
+    out = {m + uf: c * b for m, c in tail_f}
     for m, c in tail_g:
-        nm = mono_mul(m, ug)
-        acc = out.get(nm, 0) - c
+        nm = m + ug
+        acc = out.get(nm, 0) - c * a
         if acc:
             out[nm] = acc
         else:
@@ -112,77 +245,101 @@ def _spoly(f: tuple, g: tuple) -> dict:
     return out
 
 
-def groebner_terms(generators: list[dict], order) -> list[dict]:
-    """Reduced Groebner basis of the ideal generated by raw term dicts.
-
-    Returns monic, fully inter-reduced term dicts sorted by decreasing
-    leading monomial; the result is canonical for (ideal, order).
-    """
-    seed = []
-    for g in generators:
-        if g:
-            lm = max(g, key=order.key)
-            if mono_degree(lm) == 0:
-                return [{(0,) * len(lm): _ONE}]
-            seed.append(g)
-    if not seed:
-        return []
-    # deterministic seed order: by leading monomial, then size
-    seed.sort(key=lambda g: (order.key(max(g, key=order.key)), len(g)))
-
-    basis = []        # list of (lm, tail) with tail monic
+def _buchberger(seed: list, layout: _Layout):
+    """Reduced basis entries of the ideal of packed integer polynomials, in
+    increasing order of leading monomial, or None for the unit ideal."""
+    flip, guard = layout.flip, layout.guard
+    basis = []        # entries (lm, lc, tail, top)
+    lms = []          # their leading monomials, for divisibility scans
+    exps = []         # and those as exponent tuples, for lcms
     pairs = []        # heap of (lcm degree, lcm key, i, j)
     pending = set()   # pairs not yet treated, for the chain criterion
 
-    def add(terms: dict):
-        lm, tail = _prep(terms, order)
+    def add(terms: dict) -> bool:
+        """Adds an entry; True when its leading monomial is 1."""
+        entry = _entry(terms, layout)
+        lm = entry[0]
+        if not lm:
+            return True
+        ex = layout.unpack(lm)
         j = len(basis)
-        for i, (lm_i, _) in enumerate(basis):
-            lcm = mono_lcm(lm_i, lm)
-            heapq.heappush(pairs, (mono_degree(lcm), order.key(lcm), i, j))
+        for i, ex_i in enumerate(exps):
+            ex_lcm = [max(a, b) for a, b in zip(ex_i, ex)]
+            heappush(pairs, (sum(ex_lcm), layout.pack(ex_lcm) ^ flip, i, j))
             pending.add((i, j))
-        basis.append((lm, tail))
+        basis.append(entry)
+        lms.append(lm)
+        exps.append(ex)
+        return False
 
     for g in seed:
-        r = _reduce(g, basis, order)
-        if r:
-            add(r)
+        r, _ = _reduce(g, basis, layout)
+        if r and add(r):
+            return None
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, key, i, j = heappop(pairs)
         pending.discard((i, j))
-        lm_i, lm_j = basis[i][0], basis[j][0]
-        lcm = mono_lcm(lm_i, lm_j)
-        if lcm == mono_mul(lm_i, lm_j):
+        lcm_ij = key ^ flip
+        if lcm_ij == lms[i] + lms[j]:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if mono_divides(basis[k][0], lcm):
+        for k, lm_k in enumerate(lms):
+            if k != i and k != j and not (lcm_ij - lm_k) & guard:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
-                    skip = True
                     break
-        if skip:
-            continue
-        r = _reduce(_spoly(basis[i], basis[j]), basis, order)
-        if r:
-            lm_r = max(r, key=order.key)
-            if mono_degree(lm_r) == 0:
-                return [{(0,) * len(lm_r): _ONE}]
-            add(r)
+        else:
+            r, _ = _reduce(_spoly(basis[i], basis[j], lcm_ij, guard), basis, layout)
+            if r and add(r):
+                return None
 
     # minimal basis: drop entries whose leading monomial another one divides
     kept = []
-    for lm, tail in sorted(basis, key=lambda e: order.key(e[0])):
-        if not any(mono_divides(k, lm) for k, _ in kept):
-            kept.append((lm, tail))
+    for entry in sorted(basis, key=lambda e: e[0] ^ flip):
+        if all((entry[0] - k[0]) & guard for k in kept):
+            kept.append(entry)
 
     # inter-reduce tails; leading monomials are untouched by construction
-    return [{lm: _ONE, **_reduce(dict(tail), [e for e in kept if e[0] != lm], order)}
-            for lm, tail in reversed(kept)]
+    out = []
+    for entry in kept:
+        lm, lc, tail, _ = entry
+        rem, scale = _reduce(dict(tail), [e for e in kept if e is not entry], layout)
+        out.append((lm, lc * scale, rem))
+    return out
+
+
+def groebner_terms(generators: list[dict], order) -> list[dict]:
+    """Reduced Groebner basis of the ideal generated by raw term dicts.
+
+    Takes and returns term dicts of exponent tuples and ``Fraction``
+    coefficients.  Returns monic, fully inter-reduced term dicts sorted by
+    decreasing leading monomial; the result is canonical for (ideal, order).
+    """
+    seed = [g for g in generators if g]
+    if not seed:
+        return []
+    arity = len(next(iter(seed[0])))
+    one = (0,) * arity
+    if any(len(g) == 1 and one in g for g in seed):
+        return [{one: _ONE}]  # a nonzero constant generator
+    seed = [_integral(g) for g in seed]
+    bits = _bits_for(max(sum(m) for g in seed for m in g))
+    while True:
+        layout = _layout(order, arity, bits)
+        try:
+            packed = [{layout.pack(m): c for m, c in g.items()} for g in seed]
+            # deterministic seed order: by leading monomial, then size
+            packed.sort(key=lambda g: (max(m ^ layout.flip for m in g), len(g)))
+            reduced = _buchberger(packed, layout)
+            break
+        except _Overflow:
+            bits *= 2
+    if reduced is None:
+        return [{one: _ONE}]
+    unpack = layout.unpack
+    return [{unpack(lm): _ONE, **{unpack(m): Fraction(c, denom) for m, c in rem.items()}}
+            for lm, denom, rem in reversed(reduced)]
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +352,23 @@ class GroebnerBasis:
 
     order: MonomialOrder
     elements: tuple[Poly, ...]
-    _prepped: list = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        prepped = [_prep(g.terms, self.order) for g in self.elements]
-        object.__setattr__(self, "_prepped", prepped)
+    _packed: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def leading_monomials(self):
-        return [lm for lm, _ in self._prepped]
+        return [max(g.terms, key=self.order.key) for g in self.elements]
+
+    def _entries(self, arity: int, bits: int) -> tuple:
+        """(layout, basis entries) at a field width of at least ``bits``."""
+        if self._packed is None:
+            degree = max((g.total_degree() for g in self.elements), default=0)
+            bits = max(bits, _bits_for(degree))
+        elif self._packed[0].bits >= bits:
+            return self._packed
+        layout = _layout(self.order, arity, bits)
+        entries = [_entry({layout.pack(m): c for m, c in _integral(g.terms).items()}, layout)
+                   for g in self.elements]
+        object.__setattr__(self, "_packed", (layout, entries))
+        return self._packed
 
     def __len__(self):
         return len(self.elements)
@@ -285,7 +451,19 @@ def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
     """Remainder of ``p`` on division by ``basis``; zero iff p lies in the ideal."""
     if p.is_zero:
         return p
-    return _poly(p.arity, _reduce(p.terms, basis._prepped, basis.order))
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {m: c.numerator * (denom // c.denominator) for m, c in p.terms.items()}
+    bits = _bits_for(p.total_degree())
+    while True:
+        layout, entries = basis._entries(p.arity, bits)
+        try:
+            rem, scale = _reduce({layout.pack(m): c for m, c in terms.items()},
+                                 entries, layout)
+            break
+        except _Overflow:
+            bits = 2 * layout.bits
+    denom *= scale
+    return _poly(p.arity, {layout.unpack(m): Fraction(c, denom) for m, c in rem.items()})
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

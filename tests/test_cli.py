@@ -229,9 +229,29 @@ def test_variables_override(tmp_path, capsys):
     spec = write_spec(tmp_path / "s.json", payload)
     assert main(["compute", spec, "--format", "machine"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    # reports are canonical: polynomials echo in x0..xn form
-    assert report["spec"]["divisors"] == ["x0", "x1", "x2"]
+    # reports are canonical: polynomials echo in the spec's own variables
+    assert report["spec"]["divisors"] == ["u", "v", "w"]
     assert report["spec"]["variables"] == ["u", "v", "w"]
+
+
+def test_echo_with_variables_checks_again(tmp_path, capsys):
+    """``check`` on a report's echoed spec gives the same verdict and echo."""
+    payload = {
+        "n": 2, "q": 1,
+        "variables": ["u", "v", "w"],
+        "divisors": ["u^2 + 2*v*w", "v", "u - 3*w"],
+        "residue_matrix": [[1, 2, -4]],
+        "validation_level": "full-snc",
+    }
+    spec = write_spec(tmp_path / "s.json", payload)
+    assert main(["check", spec, "--format", "machine"]) == EXIT_OK
+    first = json.loads(capsys.readouterr().out)
+    assert first["spec"]["divisors"] == ["u^2 + 2*v*w", "v", "u - 3*w"]
+    echoed = write_spec(tmp_path / "echo.json", first["spec"])
+    assert main(["check", echoed, "--format", "machine"]) == EXIT_OK
+    second = json.loads(capsys.readouterr().out)
+    assert second["verdict"] == first["verdict"] == "pass"
+    assert second["spec"] == first["spec"]
 
 
 def test_lambdas_spec_file(tmp_path, capsys):
@@ -335,6 +355,34 @@ def test_batch_directory_flags_failures(tmp_path, capsys):
         "good.json": "pass", "latin1.json": "error", "list.json": "error",
         "x.json": "error", "zero-lambdas.json": "validation-failed"}
     assert summary["verdict"] == "precondition-failed"
+
+
+def test_batch_worker_exception_is_an_error_verdict(tmp_path, capsys, monkeypatch):
+    specs = tmp_path / "specs"
+    specs.mkdir()
+    write_spec(specs / "a.json", GOOD_SPEC)
+    write_spec(specs / "b.json", CONICS_SPEC)
+    write_spec(specs / "c.json", dict(GOOD_SPEC, residue_matrix=[["1/2", 1, "-3/2"]]))
+    assert main(["batch", str(specs), "--workers", "1", "--format", "machine"]) == EXIT_OK
+    intact = json.loads(capsys.readouterr().out)["reports"]
+    run_verify = cli.run_verify
+
+    def raising(doc, waive=False):
+        if doc.name == "b.json":
+            raise RuntimeError("boom")
+        return run_verify(doc, waive)
+
+    monkeypatch.setattr(cli, "run_verify", raising)
+    code = main(["batch", str(specs), "--workers", "1", "--format", "machine"])
+    assert code == EXIT_IO
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["verdict"] == "error"
+    reports = {r["name"]: r for r in summary["reports"]}
+    assert reports["b.json"] == {"name": "b.json", "verdict": "error",
+                                 "error": "RuntimeError: boom", "exit_code": EXIT_IO}
+    for before in intact:
+        if before["name"] != "b.json":
+            assert strip_timings(reports[before["name"]]) == strip_timings(before)
 
 
 def test_batch_random_seed_deterministic(capsys):

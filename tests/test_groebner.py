@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logfol import groebner
 from logfol.groebner import (
@@ -19,7 +21,7 @@ from logfol.groebner import (
     projective_dimension,
     radical_membership,
 )
-from logfol.poly import GREVLEX, LEX, Poly, parse_poly
+from logfol.poly import GREVLEX, LEX, Block, Poly, parse_poly
 
 from conftest import (
     P,
@@ -239,6 +241,52 @@ def test_colon_containments():
             assert normal_form(h * g, gb_inter).is_zero
 
 
+# -- soundness properties of colon and intersection --------------------------------
+
+def _small_forms(arity):
+    """Nonzero homogeneous polynomials of degree 1 or 2 with small integer
+    coefficients: every ideal of a foliation instance is homogeneous."""
+    def forms(degree):
+        monomial = st.tuples(*[st.integers(0, degree)] * arity).filter(
+            lambda m: sum(m) == degree)
+        terms = st.dictionaries(monomial, st.integers(-3, 3).filter(bool),
+                                min_size=1, max_size=3)
+        return terms.map(lambda d: Poly(arity, {m: Fraction(c) for m, c in d.items()}))
+    return forms(1) | forms(2)
+
+
+@st.composite
+def _ideals_and_poly(draw):
+    arity = draw(st.integers(2, 3))
+    forms = _small_forms(arity)
+    ideal = lambda: Ideal(arity, draw(st.lists(forms, min_size=1, max_size=3)))
+    return ideal(), ideal(), draw(forms)
+
+
+_PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+@_PROPERTY_SETTINGS
+@given(_ideals_and_poly())
+def test_colon_generators_multiply_into_the_ideal(case):
+    I, _, g = case
+    gb = I.groebner_basis()
+    colon = ideal_quotient(I, g)
+    for h in colon.generators:
+        assert normal_form(h * g, gb).is_zero
+    assert all(colon.contains(f) for f in I.generators)  # and I lies in I : g
+
+
+@_PROPERTY_SETTINGS
+@given(_ideals_and_poly())
+def test_intersection_generators_lie_in_both_ideals(case):
+    I, J, _ = case
+    cap = ideal_intersection(I, J)
+    for h in cap.generators:
+        assert I.contains(h) and J.contains(h)
+    assert all(cap.contains(f * g) for f in I.generators for g in J.generators)  # and I*J
+
+
 # -- saturation -------------------------------------------------------------------------
 
 def test_saturation_examples():
@@ -377,17 +425,31 @@ def test_module_annihilator_examples(monkeypatch):
 
 # -- independent oracle: SymPy's reduced Groebner bases ----------------------------------------
 
-def _sympy_reduced_basis(sympy, gens, arity, order_name):
-    """SymPy's reduced basis over QQ, monic in the same order, as term sets."""
+def _sympy_polys(sympy, polys, xs):
+    return [sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                  for m, c in g.terms.items()}, *xs, domain="QQ")
+            for g in polys]
+
+
+def _sympy_terms(p):
+    return frozenset((m, Fraction(str(c))) for m, c in p.as_dict().items())
+
+
+def _sympy_block1(sympy):
+    """SymPy's spelling of Block(1): grevlex on x0, then grevlex on the rest."""
+    from sympy.polys.orderings import ProductOrder, grevlex
+    return ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))
+
+
+def _sympy_reduced_basis(sympy, gens, arity, order):
+    """SymPy's reduced basis over QQ, monic in the same order (a SymPy order
+    name or object), as term sets."""
     xs = sympy.symbols(f"x0:{arity}")
-    polys = [sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
-                                   for m, c in g.terms.items()}, *xs, domain="QQ")
-             for g in gens]
     out = set()
-    for p in sympy.groebner(polys, *xs, order=order_name, domain="QQ").polys:
+    for p in sympy.groebner(_sympy_polys(sympy, gens, xs), *xs,
+                            order=order, domain="QQ").polys:
         p = p.to_field()
-        p = p.quo_ground(p.LC(order=order_name))
-        out.add(frozenset((m, Fraction(str(c))) for m, c in p.as_dict().items()))
+        out.add(_sympy_terms(p.quo_ground(p.LC(order=order))))
     return out
 
 
@@ -405,3 +467,74 @@ def test_reduced_bases_match_sympy():
         for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
             engine = {frozenset(g.terms.items()) for g in I.groebner_basis(order).elements}
             assert engine == _sympy_reduced_basis(sympy, gens, arity, name), (gens, name)
+
+
+def test_block1_bases_and_normal_forms_match_sympy():
+    """Block(1), the order of every elimination, on ideals shaped like
+    t*I + (1-t)*J and on non-homogeneous ones; then the normal forms of
+    rational polynomials, which are unique modulo a Groebner basis."""
+    sympy = pytest.importorskip("sympy")
+    order = _sympy_block1(sympy)
+    rng = random.Random(5089)
+    for case in range(24):
+        arity = rng.randint(3, 4)
+        rest = arity - 1
+        if case % 2:
+            t = Poly.variable(arity, 0)
+            lift = lambda g: Poly(arity, {(0,) + m: c for m, c in g.terms.items()})
+            gens = [t * lift(random_homogeneous_poly(rng, rest, rng.randint(1, 2), 3))
+                    for _ in range(2)]
+            gens += [(1 - t) * lift(random_homogeneous_poly(rng, rest, 2, 3))
+                     for _ in range(rng.randint(1, 2))]
+        else:
+            gens = [random_poly(rng, arity, 3, 3) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        gb = Ideal(arity, gens).groebner_basis(Block(1))
+        engine = {frozenset(g.terms.items()) for g in gb.elements}
+        assert engine == _sympy_reduced_basis(sympy, gens, arity, order), gens
+
+        xs = sympy.symbols(f"x0:{arity}")
+        basis = _sympy_polys(sympy, gb.elements, xs)
+        for _ in range(2):
+            p = random_poly(rng, arity, 4, 5) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            p = p + Poly.const(arity, Fraction(1, rng.randint(2, 7)))
+            _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0], basis,
+                                        *xs, order=order, domain="QQ")
+            assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected), p
+
+
+def test_exponents_beyond_a_fixed_field_width_match_sympy():
+    """Exponents above 4096 in the input, and lex bases whose exponents
+    outgrow the width chosen from the input degrees."""
+    sympy = pytest.importorskip("sympy")
+    # x -> x^2500 maps a grevlex Groebner basis to one, with every step alike
+    small = ["x0^2 + x1*x2 - 3", "x0*x1 - x2^2 + x0", "x1^3 - x2^3 + 2"]
+    gens = [Poly(3, {tuple(2500 * e for e in m): c for m, c in P(s, 3).terms.items()})
+            for s in small]
+    assert max(g.total_degree() for g in gens) == 7500
+    gb = Ideal(3, gens).groebner_basis(GREVLEX)
+    engine = {frozenset(g.terms.items()) for g in gb.elements}
+    assert engine == _sympy_reduced_basis(sympy, gens, 3, "grevlex")
+    xs = sympy.symbols("x0:3")
+    p = P("x0^9000*x1^5000 + 1/3*x1^12000 - x2^7600", 3)
+    _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0],
+                                _sympy_polys(sympy, gb.elements, xs), *xs,
+                                order="grevlex", domain="QQ")
+    assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected)
+
+    # lex: x0 - x1^100 turns x0^50 into x1^5000, far past the input degree
+    gens = [P("x0 - x1^100", 3), P("x0^50 - 2*x2", 3)]
+    gb = Ideal(3, gens).groebner_basis(LEX)
+    engine = {frozenset(g.terms.items()) for g in gb.elements}
+    assert engine == _sympy_reduced_basis(sympy, gens, 3, "lex")
+    assert max(g.total_degree() for g in gb.elements) == 5000
+    # a normal form whose exponents outgrow its basis and its input
+    G = GroebnerBasis(LEX, (P("x0 - x1^100", 3),))
+    assert normal_form(P("x0^10*x2 + x0 - 1/2", 3), G) == P("x1^1000*x2 + x1^100 - 1/2", 3)
+    p = P("x0^70*x2 + x0^3 - 1/2", 3)
+    _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0],
+                                _sympy_polys(sympy, gb.elements, xs), *xs,
+                                order="lex", domain="QQ")
+    assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected)
