@@ -127,12 +127,15 @@ def parse_spec_document(data: dict, name: str) -> SpecDocument:
     n, q = data["n"], data["q"]
     if not isinstance(n, int) or not isinstance(q, int):
         raise SpecFileError("'n' and 'q' must be integers")
+    if n < 2:
+        raise SpecFileError("ambient projective dimension must be at least 2")
     divisor_strings = data["divisors"]
     if not isinstance(divisor_strings, list) or not divisor_strings:
         raise SpecFileError("'divisors' must be a non-empty list of polynomial strings")
     variables = data.get("variables")
     if variables is not None:
         if (not isinstance(variables, list)
+                or not all(isinstance(v, str) for v in variables)
                 or len(variables) != n + 1
                 or len(set(variables)) != n + 1):
             raise SpecFileError(f"'variables' must list {n + 1} distinct names")
@@ -154,8 +157,8 @@ def parse_spec_document(data: dict, name: str) -> SpecDocument:
     lambdas = None
     if has_matrix:
         raw = data["residue_matrix"]
-        if not isinstance(raw, list):
-            raise SpecFileError("'residue_matrix' must be a list of rows")
+        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+            raise SpecFileError("'residue_matrix' must be a list of rows, each a list")
         matrix = [[_rational(entry, f"residue_matrix[{k + 1}]") for entry in row]
                   for k, row in enumerate(raw)]
     else:

@@ -240,14 +240,11 @@ def _jacobian_ideal(f: Poly) -> Ideal:
 
 
 def _linear_row(f: Poly):
-    """Coefficient row of a linear form scaled to integers, or None when f
-    is not linear."""
-    if any(sum(mono) != 1 for mono in f.terms):
+    """Integer coefficients of a linear form, up to a nonzero factor, or
+    None when f is not linear."""
+    row = [f.num.get(w, 0) for w in f.layout.weights]
+    if len(row) - row.count(0) != len(f.num):
         return None
-    scale = math.lcm(*(coeff.denominator for coeff in f.terms.values()))
-    row = [0] * f.arity
-    for mono, coeff in f.terms.items():
-        row[mono.index(1)] = coeff.numerator * (scale // coeff.denominator)
     return row
 
 

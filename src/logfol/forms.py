@@ -1,12 +1,13 @@
 """Exterior algebra of differential forms with polynomial coefficients.
 
-A p-form on the coordinate ring of affine (n+1)-space is stored as a map
-from strictly increasing index tuples (the basis monomials dx_{j1}^...^dx_{jp})
-to polynomial coefficients.  Signs follow one convention throughout:
+A p-form on the coordinate ring of affine (n+1)-space maps strictly
+increasing index tuples (the basis monomials dx_{j1}^...^dx_{jp}) to
+``Poly`` coefficients, integer numerators on packed monomials, so the
+operators below compute on ints only.  Signs follow one convention:
 basis tuples are kept increasing, and contracting with the j-th coordinate
 field picks up (-1)^k when j sits at (zero-based) position k of the tuple.
-The wedge, exterior derivative and contraction operators below are all
-derived from that single choice and are checked against each other by the
+The wedge, exterior derivative and contraction operators are derived from
+that single choice and are checked against each other by the
 anti-derivation laws in the test suite.
 
 Contraction with the radial (Euler) field sum_i x_i d/dx_i detects descent
@@ -34,22 +35,10 @@ def _merge_sign(a: IndexTuple, b: IndexTuple):
     The sign is (-1) to the number of transpositions needed to sort the
     concatenation a + b; None when the tuples share an index.
     """
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            merged.append(a[i])
-            i += 1
-        else:
-            merged.append(b[j])
-            inversions += len(a) - i
-            j += 1
-    merged.extend(a[i:])
-    merged.extend(b[j:])
-    return tuple(merged), -1 if inversions % 2 else 1
+    if not set(a).isdisjoint(b):
+        return None, 0
+    inversions = sum(x > y for x in a for y in b)
+    return tuple(sorted(a + b)), -1 if inversions % 2 else 1
 
 
 class PForm:
@@ -112,15 +101,8 @@ class PForm:
         if not isinstance(other, PForm):
             return NotImplemented
         self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for subset, poly in other.coeffs.items():
-            acc = coeffs.get(subset)
-            total = poly if acc is None else acc + poly
-            if total.is_zero:
-                coeffs.pop(subset, None)
-            else:
-                coeffs[subset] = total
-        return PForm(self.arity, self.degree, coeffs)
+        return _collect(self.arity, self.degree,
+                        itertools.chain(self.coeffs.items(), other.coeffs.items()))
 
     def __neg__(self):
         return PForm(self.arity, self.degree, {s: -p for s, p in self.coeffs.items()})
@@ -160,6 +142,15 @@ class PForm:
         return f"PForm({self})"
 
 
+def _collect(arity: int, degree: int, pieces) -> PForm:
+    """The form whose coefficients sum the (index tuple, Poly) pieces."""
+    coeffs = {}
+    for subset, poly in pieces:
+        acc = coeffs.get(subset)
+        coeffs[subset] = poly if acc is None else acc + poly
+    return PForm(arity, degree, coeffs)
+
+
 def wedge(a: PForm, b: PForm) -> PForm:
     """Exterior product a ∧ b."""
     if a.arity != b.arity:
@@ -167,43 +158,25 @@ def wedge(a: PForm, b: PForm) -> PForm:
     degree = a.degree + b.degree
     if degree > a.arity:
         return PForm(a.arity, degree)
-    coeffs = {}
+    pieces = []
     for sa, pa in a.coeffs.items():
         for sb, pb in b.coeffs.items():
             merged, sign = _merge_sign(sa, sb)
-            if merged is None:
-                continue
-            term = pa * pb
-            if sign < 0:
-                term = -term
-            acc = coeffs.get(merged)
-            total = term if acc is None else acc + term
-            if total.is_zero:
-                coeffs.pop(merged, None)
-            else:
-                coeffs[merged] = total
-    return PForm(a.arity, degree, coeffs)
+            if merged is not None:
+                pieces.append((merged, pa * pb if sign > 0 else -(pa * pb)))
+    return _collect(a.arity, degree, pieces)
 
 
 def exterior_derivative(a: PForm) -> PForm:
     """d(sum c_J dx_J) = sum_i dc_J/dx_i dx_i ∧ dx_J."""
-    coeffs = {}
+    pieces = []
     for subset, poly in a.coeffs.items():
         for i in range(a.arity):
-            if i in subset:
-                continue
-            dp = poly.partial_derivative(i)
-            if dp.is_zero:
-                continue
-            merged, sign = _merge_sign((i,), subset)
-            term = dp if sign > 0 else -dp
-            acc = coeffs.get(merged)
-            total = term if acc is None else acc + term
-            if total.is_zero:
-                coeffs.pop(merged, None)
-            else:
-                coeffs[merged] = total
-    return PForm(a.arity, a.degree + 1, coeffs)
+            if i not in subset:
+                merged, sign = _merge_sign((i,), subset)
+                dp = poly.partial_derivative(i)
+                pieces.append((merged, dp if sign > 0 else -dp))
+    return _collect(a.arity, a.degree + 1, pieces)
 
 
 def contract_index(a: PForm, index: int) -> PForm:
@@ -246,12 +219,9 @@ def radial_contraction(a: PForm) -> PForm:
     """
     if a.degree == 0:
         return PForm(a.arity, 0)
-    out = PForm(a.arity, a.degree - 1)
-    for i in range(a.arity):
-        piece = contract_index(a, i)
-        if not piece.is_zero:
-            out = out + piece * Poly.variable(a.arity, i)
-    return out
+    pieces = (contract_index(a, i) * Poly.variable(a.arity, i) for i in range(a.arity))
+    return _collect(a.arity, a.degree - 1,
+                    itertools.chain.from_iterable(p.coeffs.items() for p in pieces))
 
 
 def plucker_check(a: PForm) -> bool:

@@ -16,26 +16,20 @@ criteria.  Everything else in the module reduces to it:
 * Krull dimension is read off the leading-term ideal as the size of the
   largest subset of variables meeting the support of no leading monomial.
 
-Inside the engine every number is a Python int.  Coefficients are integers:
-a basis entry is ``(lm, lc, tail, top)``, a primitive polynomial with a
-positive leading coefficient ``lc``, and ``_reduce`` is fraction-free.  It
-scales the work polynomial by ``lc/gcd`` before subtracting ``c/gcd`` times a
-shifted entry, and keeps the product of those factors, so that ``remainder /
-scale`` is the exact rational normal form.  A monomial is one int: a
-``_Layout`` packs the exponents of one (order, arity) into fixed-width
-fields, and gives each grevlex block a degree field above its variables.
-Each field's top bit is a guard bit that stays clear.  Multiplying
-monomials adds their ints, and x^a divides x^b exactly when
-``(b - a) & guard`` is zero.  The order key is ``p ^ flip``, where ``flip``
-complements the variable fields that grevlex compares in reverse, so that
-comparing monomials compares ints.  ``top`` packs the largest value of every
-field over an entry's tail.  Before a shifted tail is formed, one guard-bit
-test of ``shift + top`` catches any field that would overflow, and the
-computation starts again at twice the field width, so a fixed width never
-overflows silently.  The first width comes from the input degrees.
-Fractions and exponent tuples appear only at the boundary: on entry to
-``groebner_terms`` and ``normal_form`` and on their exit.
-``GroebnerBasis`` keeps its packed integer entries for ``normal_form``.
+Every number is a Python int, and the engine speaks the representation
+of ``Poly`` (see ``poly.py``): integer numerators on monomials packed by a
+``_Layout``.  ``groebner_terms``, ``normal_form`` and ``GroebnerBasis``
+take and return packed numerators; grevlex runs need no conversion, and an
+elimination puts t in the top field of ``Block(1)``, under which the t-free
+monomials pack exactly as grevlex.  A basis entry is ``(lm, lc, tail,
+top)``, a primitive polynomial with ``lc > 0`` and ``top`` the fieldwise
+maximum of its tail.  ``_reduce`` is fraction-free: it scales the work
+polynomial by ``lc/gcd`` before subtracting ``c/gcd`` times a shifted
+entry, and keeps the product of those factors, so that ``remainder /
+scale`` is the exact rational normal form.  x^a divides x^b exactly when
+``(b - a) & guard`` is zero, and one guard-bit test of ``shift + top``
+before a shifted tail is formed catches any field that would overflow;
+the computation then starts again at twice the field width.
 
 Ideals are homogeneous by construction (intermediate elimination steps are
 not, which is fine for Buchberger); reduced bases are cached per order on
@@ -47,114 +41,28 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .poly import (
     GREVLEX,
     Block,
-    Lex,
     MonomialOrder,
     Poly,
+    _aligned,
+    _from_packed,
+    _Layout,
+    _layout,
+    _make,
+    _Overflow,
+    _repack,
     exact_div,
-    mono_degree,
-    mono_support,
 )
-
-_ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# packed monomials
-# ---------------------------------------------------------------------------
-
-class _Overflow(Exception):
-    """A packed exponent or degree would not fit below its guard bit."""
-
-
-class _Layout:
-    """Packing of the exponent vectors of one (order, arity) into ints.
-
-    Fields run from the most significant down.  Lex has one field per
-    variable, x0 first.  Each grevlex block (the whole ring for grevlex; the
-    prefix and the rest for ``Block``) has its degree field first and then
-    its variables from the last to the first; a block of one variable needs
-    only its exponent.  Variable fields after a degree field are compared in
-    reverse, so ``flip`` holds their value bits.  Every field holds values
-    up to ``cap`` below a clear guard bit.
-    """
-
-    def __init__(self, order, arity: int, bits: int):
-        # (variables, kind): "deg" sums its variables, "rev" compares in reverse
-        if isinstance(order, Lex):
-            fields = [((i,), "var") for i in range(arity)]
-        else:
-            cut = order.prefix if isinstance(order, Block) else 0
-            fields = []
-            for block in (range(cut), range(cut, arity)):
-                if len(block) == 1:
-                    fields.append(((block[0],), "var"))  # its degree is its exponent
-                elif block:
-                    fields.append((tuple(block), "deg"))
-                    fields += [((i,), "rev") for i in reversed(block)]
-        self.bits = bits
-        self.cap = cap = (1 << bits) - 1
-        placed = [(field, (bits + 1) * k) for k, field in enumerate(reversed(fields))]
-        # packing is linear: an exponent adds to its own field and its degree field
-        self._weights = [0] * arity
-        self._shifts = [0] * arity
-        for (variables, kind), s in placed:
-            for i in variables:
-                self._weights[i] += 1 << s
-            if kind != "deg":
-                self._shifts[variables[0]] = s
-        self.guard = sum(1 << (s + bits) for _, s in placed)
-        self.flip = sum(cap << s for (_, kind), s in placed if kind == "rev")
-        self.rev = ~self.flip  # p ^ rev decreases as the monomial grows
-
-    def pack(self, exps) -> int:
-        """Packed monomial; the total degree bounds every field."""
-        if sum(exps) > self.cap:
-            raise _Overflow
-        return sum([e * w for e, w in zip(exps, self._weights)])
-
-    def unpack(self, p: int) -> tuple:
-        cap = self.cap
-        return tuple([(p >> s) & cap for s in self._shifts])
-
-    def fieldmax(self, monomials) -> int:
-        """Packed fieldwise maximum (0 for no monomials)."""
-        guard, bits = self.guard, self.bits
-        top = 0
-        for m in monomials:
-            ge = ((top | guard) - m) & guard   # guard bit set where top >= m
-            keep = ge - (ge >> bits)           # the value bits of those fields
-            top = (top & keep) | (m & ~keep)
-        return top
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(order, arity: int, bits: int) -> _Layout:
-    return _Layout(order, arity, bits)
-
-
-def _bits_for(degree: int) -> int:
-    """Initial field width for inputs of this total degree: room for lcms."""
-    return max(4, (4 * degree).bit_length())
 
 
 # ---------------------------------------------------------------------------
 # the Buchberger engine (integer coefficients, packed monomials)
 # ---------------------------------------------------------------------------
-
-def _integral(terms: dict) -> dict:
-    """The integer multiple of a nonzero rational term dict with coprime coefficients."""
-    denom = lcm(*(c.denominator for c in terms.values()))
-    out = {m: c.numerator * (denom // c.denominator) for m, c in terms.items()}
-    content = gcd(*out.values())
-    return {m: c // content for m, c in out.items()}
-
 
 def _entry(terms: dict, layout: _Layout) -> tuple:
     """Basis entry ``(lm, lc, tail, top)`` of a nonzero packed polynomial,
@@ -309,37 +217,35 @@ def _buchberger(seed: list, layout: _Layout):
     return out
 
 
-def groebner_terms(generators: list[dict], order) -> list[dict]:
-    """Reduced Groebner basis of the ideal generated by raw term dicts.
+def groebner_terms(generators: list[dict], order, layout: _Layout) -> tuple:
+    """Reduced Groebner basis of the ideal generated by packed polynomials.
 
-    Takes and returns term dicts of exponent tuples and ``Fraction``
-    coefficients.  Returns monic, fully inter-reduced term dicts sorted by
-    decreasing leading monomial; the result is canonical for (ideal, order).
+    ``generators`` map monomials packed by ``layout`` to integers; a
+    generator stands for any nonzero rational multiple of itself.  Returns
+    ``(run, elements)``: ``run`` is the ``order`` layout at the width the
+    computation finished in (``layout`` itself when it packs for ``order``
+    and nothing overflowed), and ``elements`` are the monic, fully
+    inter-reduced basis polynomials as ``(numerators, denominator)`` pairs
+    packed by ``run``, sorted by decreasing leading monomial; the result is
+    canonical for (ideal, order).
     """
     seed = [g for g in generators if g]
-    if not seed:
-        return []
-    arity = len(next(iter(seed[0])))
-    one = (0,) * arity
-    if any(len(g) == 1 and one in g for g in seed):
-        return [{one: _ONE}]  # a nonzero constant generator
-    seed = [_integral(g) for g in seed]
-    bits = _bits_for(max(sum(m) for g in seed for m in g))
+    if any(len(g) == 1 and 0 in g for g in seed):
+        return layout, [({0: 1}, 1)]  # a nonzero constant generator
+    bits = layout.bits
     while True:
-        layout = _layout(order, arity, bits)
+        run = _layout(order, layout.arity, bits)
         try:
-            packed = [{layout.pack(m): c for m, c in g.items()} for g in seed]
+            packed = [g if run is layout else _repack(g, layout, run) for g in seed]
             # deterministic seed order: by leading monomial, then size
-            packed.sort(key=lambda g: (max(m ^ layout.flip for m in g), len(g)))
-            reduced = _buchberger(packed, layout)
+            packed.sort(key=lambda g: (max(m ^ run.flip for m in g), len(g)))
+            reduced = _buchberger(packed, run)
             break
         except _Overflow:
             bits *= 2
     if reduced is None:
-        return [{one: _ONE}]
-    unpack = layout.unpack
-    return [{unpack(lm): _ONE, **{unpack(m): Fraction(c, denom) for m, c in rem.items()}}
-            for lm, denom, rem in reversed(reduced)]
+        return run, [({0: 1}, 1)]
+    return run, [({lm: denom, **rem}, denom) for lm, denom, rem in reversed(reduced)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +261,18 @@ class GroebnerBasis:
     _packed: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def leading_monomials(self):
-        return [max(g.terms, key=self.order.key) for g in self.elements]
+        """The leading exponent tuples of the elements under the order."""
+        return [g.leading(self.order)[0] for g in self.elements]
 
     def _entries(self, arity: int, bits: int) -> tuple:
-        """(layout, basis entries) at a field width of at least ``bits``."""
-        if self._packed is None:
-            degree = max((g.total_degree() for g in self.elements), default=0)
-            bits = max(bits, _bits_for(degree))
-        elif self._packed[0].bits >= bits:
+        """(layout, basis entries) at a field width of at least ``bits``;
+        raises ``_Overflow`` when an element does not fit that width."""
+        if self._packed is not None and self._packed[0].bits >= bits:
             return self._packed
+        bits = max([bits] + [g.layout.bits for g in self.elements])
         layout = _layout(self.order, arity, bits)
-        entries = [_entry({layout.pack(m): c for m, c in _integral(g.terms).items()}, layout)
+        entries = [_entry(g.num if g.layout is layout else _repack(g.num, g.layout, layout),
+                          layout)
                    for g in self.elements]
         object.__setattr__(self, "_packed", (layout, entries))
         return self._packed
@@ -386,19 +293,14 @@ class Ideal:
 
     def __init__(self, arity: int, generators=()):
         self.arity = arity
-        gens = []
-        seen = set()
+        generators = tuple(generators)
         for g in generators:
             if not isinstance(g, Poly):
                 raise TypeError("ideal generators must be Poly instances")
             if g.arity != arity:
                 raise ValueError(f"generator arity {g.arity} does not match ideal arity {arity}")
-            if g.is_zero:
-                continue
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-        self.generators = tuple(gens)
+        # distinct nonzero generators, in order
+        self.generators = tuple(dict.fromkeys(g for g in generators if not g.is_zero))
         self._cache = {}
 
     @staticmethod
@@ -412,8 +314,12 @@ class Ideal:
     def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
         gb = self._cache.get(order)
         if gb is None:
-            terms = groebner_terms([g.terms for g in self.generators], order)
-            gb = GroebnerBasis(order, tuple(_poly(self.arity, t) for t in terms))
+            elements = ()
+            if self.generators:
+                layout, nums = _aligned(self.generators)
+                run, basis = groebner_terms(nums, order, layout)
+                elements = tuple(_from_packed(run, num, den) for num, den in basis)
+            gb = GroebnerBasis(order, elements)
             self._cache[order] = gb
         return gb
 
@@ -440,30 +346,21 @@ class Ideal:
         return f"Ideal({inner})"
 
 
-def _poly(arity: int, terms: dict) -> Poly:
-    out = Poly.__new__(Poly)
-    out.arity = arity
-    out.terms = terms
-    return out
-
-
 def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
     """Remainder of ``p`` on division by ``basis``; zero iff p lies in the ideal."""
-    if p.is_zero:
+    if p.is_zero or not basis.elements:
         return p
-    denom = lcm(*(c.denominator for c in p.terms.values()))
-    terms = {m: c.numerator * (denom // c.denominator) for m, c in p.terms.items()}
-    bits = _bits_for(p.total_degree())
+    bits = p.layout.bits
     while True:
-        layout, entries = basis._entries(p.arity, bits)
         try:
-            rem, scale = _reduce({layout.pack(m): c for m, c in terms.items()},
-                                 entries, layout)
+            layout, entries = basis._entries(p.arity, bits)
+            num = p.num if layout is p.layout else _repack(p.num, p.layout, layout)
+            rem, scale = _reduce(num, entries, layout)
             break
         except _Overflow:
-            bits = 2 * layout.bits
-    denom *= scale
-    return _poly(p.arity, {layout.unpack(m): Fraction(c, denom) for m, c in rem.items()})
+            packed = basis._packed
+            bits = 2 * max(bits, packed[0].bits if packed else 0)
+    return _from_packed(layout, rem, p.den * scale)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -472,39 +369,36 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.arity, I.generators + J.generators)
 
 
-def _extend_front(terms: dict, t_exponent: int = 0) -> dict:
-    return {(t_exponent,) + m: c for m, c in terms.items()}
-
-
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """Set-theoretic intersection, by eliminating t from t*I + (1-t)*J."""
+    """Set-theoretic intersection, by eliminating t from t*I + (1-t)*J.
+
+    t is the first variable of Block(1), whose t-free monomials pack exactly
+    as grevlex on the other variables, so t*g adds the packed t and the
+    t-free part of the result needs no conversion.
+    """
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
     if I.is_zero or J.is_zero:
         return Ideal(I.arity)
     arity = I.arity
-    gens = [_extend_front(g.terms, 1) for g in I.generators]
+    layout, nums = _aligned(I.generators + J.generators)
+    block = _layout(Block(1), arity + 1, layout.bits)
+    t = block.weights[0]
+    gens = [{m + t: c for m, c in g.items()} for g in nums[:len(I.generators)]]
     # (1-t)*g: the halves g and -t*g share no monomial
-    gens += [{**_extend_front(g.terms), **_extend_front((-g).terms, 1)} for g in J.generators]
-    eliminated = groebner_terms(gens, Block(1))
+    gens += [{**g, **{m + t: -c for m, c in g.items()}} for g in nums[len(I.generators):]]
+    run, eliminated = groebner_terms(gens, Block(1), block)
     # the t-free part of a Groebner basis under the elimination order is a
     # Groebner basis of the intersection
-    out = []
-    for terms in eliminated:
-        if all(m[0] == 0 for m in terms):
-            out.append(_poly(arity, {m[1:]: c for m, c in terms.items()}))
-    return Ideal(arity, out)
+    rest = _layout(GREVLEX, arity, run.bits)
+    t = run.weights[0]
+    return Ideal(arity, [_make(rest, num, den) for num, den in eliminated if max(num) < t])
 
 
 def intersect_all(ideals, arity: int) -> Ideal:
     """Intersection of a family of ideals; the empty family gives (1)."""
     ideals = list(ideals)
-    if not ideals:
-        return Ideal.unit(arity)
-    acc = ideals[0]
-    for nxt in ideals[1:]:
-        acc = ideal_intersection(acc, nxt)
-    return acc
+    return functools.reduce(ideal_intersection, ideals) if ideals else Ideal.unit(arity)
 
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
@@ -539,11 +433,18 @@ def radical_membership(f: Poly, I: Ideal) -> bool:
         return True
     if I.is_zero:
         return False
-    gens = [_extend_front(g.terms) for g in I.generators]
-    # 1-t*f: the halves 1 and -t*f share no monomial
-    gens.append({**_extend_front(Poly.one(I.arity).terms), **_extend_front((-f).terms, 1)})
-    gb = groebner_terms(gens, GREVLEX)
-    return len(gb) == 1 and mono_degree(next(iter(gb[0]))) == 0
+    layout, nums = _aligned(I.generators + (f,))
+    if f.total_degree() >= layout.cap:  # t*f needs a wider degree field
+        wide = _layout(GREVLEX, I.arity, 2 * layout.bits)
+        layout, nums = wide, [_repack(g, layout, wide) for g in nums]
+    # grevlex with t first: shifting by one field makes room for t's field
+    extended = _layout(GREVLEX, I.arity + 1, layout.bits)
+    gens = [{m << (layout.bits + 1): c for m, c in g.items()} for g in nums]
+    # den*(1 - t*f): the halves den and -t*num share no monomial
+    t = extended.weights[0]
+    gens[-1] = {0: f.den, **{m + t: -c for m, c in gens[-1].items()}}
+    _, gb = groebner_terms(gens, GREVLEX, extended)
+    return len(gb) == 1 and not max(gb[0][0])
 
 
 def krull_dimension(I: Ideal) -> int:
@@ -554,7 +455,7 @@ def krull_dimension(I: Ideal) -> int:
     containing the support of no leading monomial.
     """
     gb = I.groebner_basis(GREVLEX)
-    supports = [mono_support(lm) for lm in gb.leading_monomials()]
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()]
     if any(not s for s in supports):
         return -1  # a constant leading term: the unit ideal
     n = I.arity

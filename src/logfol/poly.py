@@ -1,69 +1,40 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials live in Q[x0, ..., xn] and are stored sparsely as a mapping
-from exponent vectors to nonzero ``Fraction`` coefficients.  All arithmetic
-is exact; there is no floating point anywhere in this package.
+A polynomial of Q[x0, ..., xn] is a dict of integer numerators over one
+positive common denominator, coprime to their content.  Its monomials are
+packed into ints by the grevlex ``_Layout`` of its arity, at the narrowest
+width of a fixed ladder that holds its degree, so ``==`` and ``hash`` are
+structural.  Fields have guard bits (Monagan & Pearce, "Sparse polynomial
+division using a heap", JSC 2011), so multiplying monomials adds ints; the
+degree field is the most significant, so one degree check per product
+decides whether it must be repacked wider.  The Groebner engine shares the
+layouts.  All arithmetic is exact; there is no floating point anywhere in
+this package.
 
-The module also provides the three monomial orders used by the Groebner
-engine (graded reverse lexicographic, lexicographic, and a block order for
-elimination) and a small parser / printer for polynomial expressions in the
-grammar ``x0..xn``, integer and ``a/b`` rational literals, ``+ - * / ^`` and
-parentheses.
+Exponent tuples and ``Fraction`` coefficients belong to the edge API only:
+the ``Poly(arity, {tuple: rational})`` constructor, the ``terms`` view and
+the parser / printer for expressions in ``x0..xn``, integer and ``a/b``
+rational literals, ``+ - * / ^`` and parentheses.  The module also names
+the three monomial orders: grevlex, lex, and a block order for elimination.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-Monomial = tuple  # exponent vector, one non-negative integer per variable
-
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-
-# ---------------------------------------------------------------------------
-# monomial helpers
-# ---------------------------------------------------------------------------
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b; assumes divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
-def mono_support(a: Monomial) -> frozenset:
-    return frozenset(i for i, e in enumerate(a) if e)
+_BITS = 7  # value bits of a field at the narrowest width; wider ones double it
 
 
 # ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
-
-def _grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _grevlex_revkey(m):
-    return (-sum(m), tuple(reversed(m)))
-
 
 @dataclass(frozen=True)
 class GrevLex:
@@ -71,26 +42,12 @@ class GrevLex:
 
     name = "grevlex"
 
-    def key(self, m):
-        """Sort key, monotone with the order (larger key = larger monomial)."""
-        return _grevlex_key(m)
-
-    def revkey(self, m):
-        """Anti-monotone key, for min-heaps that must pop the largest first."""
-        return _grevlex_revkey(m)
-
 
 @dataclass(frozen=True)
 class Lex:
     """Lexicographic order with x0 > x1 > ... > xn."""
 
     name = "lex"
-
-    def key(self, m):
-        return tuple(m)
-
-    def revkey(self, m):
-        return tuple(-e for e in m)
 
 
 @dataclass(frozen=True)
@@ -105,12 +62,6 @@ class Block:
     def name(self):
         return f"block({self.prefix})"
 
-    def key(self, m):
-        return _grevlex_key(m[: self.prefix]) + _grevlex_key(m[self.prefix:])
-
-    def revkey(self, m):
-        return _grevlex_revkey(m[: self.prefix]) + _grevlex_revkey(m[self.prefix:])
-
 
 GREVLEX = GrevLex()
 LEX = Lex()
@@ -119,41 +70,169 @@ MonomialOrder = GrevLex | Lex | Block
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+class _Overflow(Exception):
+    """A packed exponent or degree would not fit below its guard bit."""
+
+
+class _Layout:
+    """Packing of the exponent vectors of one (order, arity) into ints.
+
+    Fields run from the most significant down.  Lex has one field per
+    variable, x0 first.  Each grevlex block (the whole ring for grevlex; the
+    prefix and the rest for ``Block``) has its degree field first and then
+    its variables from the last to the first; only a one-variable prefix
+    drops its degree field, so the t-free monomials of ``Block(1)`` pack
+    exactly as grevlex on the other variables.  Variable fields after a
+    degree field are compared in reverse, so ``flip`` holds their value
+    bits, and ``p ^ flip`` is the order key.  Every field holds values up to
+    ``cap`` below a clear guard bit.
+    """
+
+    def __init__(self, order, arity: int, bits: int):
+        # (variables, kind): "deg" sums its variables, "rev" compares in reverse
+        if isinstance(order, Lex):
+            fields = [((i,), "var") for i in range(arity)]
+        else:
+            cut = order.prefix if isinstance(order, Block) else 0
+            fields = []
+            for k, block in enumerate((range(cut), range(cut, arity))):
+                if k == 0 and len(block) == 1:
+                    fields.append(((0,), "var"))  # its degree is its exponent
+                elif block:
+                    fields.append((tuple(block), "deg"))
+                    fields += [((i,), "rev") for i in reversed(block)]
+        self.order = order
+        self.arity = arity
+        self.bits = bits
+        self.cap = cap = (1 << bits) - 1
+        placed = [(field, (bits + 1) * k) for k, field in enumerate(reversed(fields))]
+        # packing is linear: an exponent adds to its own field and its degree field
+        self.weights = [0] * arity
+        self.shifts = [0] * arity
+        for (variables, kind), s in placed:
+            for i in variables:
+                self.weights[i] += 1 << s
+            if kind != "deg":
+                self.shifts[variables[0]] = s
+        self.guard = sum(1 << (s + bits) for _, s in placed)
+        self.flip = sum(cap << s for (_, kind), s in placed if kind == "rev")
+        self.rev = ~self.flip  # p ^ rev decreases as the monomial grows
+        # grevlex: a packed monomial below ``bound`` has degree at most cap
+        self.degshift = placed[-1][1]
+        self.bound = 1 << (self.degshift + bits)
+
+    def pack(self, exps) -> int:
+        """Packed monomial; the total degree bounds every field."""
+        if sum(exps) > self.cap:
+            raise _Overflow
+        return sum([e * w for e, w in zip(exps, self.weights)])
+
+    def unpack(self, p: int) -> tuple:
+        cap = self.cap
+        return tuple([(p >> s) & cap for s in self.shifts])
+
+    def fieldmax(self, monomials) -> int:
+        """Packed fieldwise maximum (0 for no monomials)."""
+        guard, bits = self.guard, self.bits
+        top = 0
+        for m in monomials:
+            ge = ((top | guard) - m) & guard   # guard bit set where top >= m
+            keep = ge - (ge >> bits)           # the value bits of those fields
+            top = (top & keep) | (m & ~keep)
+        return top
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(order, arity: int, bits: int) -> _Layout:
+    return _Layout(order, arity, bits)
+
+
+def _width(degree: int) -> int:
+    """The narrowest field width of the ladder that holds ``degree``."""
+    bits = _BITS
+    while degree >> bits:
+        bits *= 2
+    return bits
+
+
+def _repack(num: dict, src: _Layout, dst: _Layout) -> dict:
+    """The same terms packed by another layout of the same arity."""
+    unpack, pack = src.unpack, dst.pack
+    return {pack(unpack(m)): c for m, c in num.items()}
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _as_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"polynomial coefficients must be exact rationals, got {type(c).__name__}")
+def _make(layout: _Layout, num: dict, den: int = 1) -> "Poly":
+    """The canonical polynomial num/den: content coprime to ``den`` and the
+    narrowest width.  ``layout`` is a grevlex layout."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    if layout.bits > _BITS and num:
+        bits = _width(max(num) >> layout.degshift)
+        if bits < layout.bits:
+            narrow = _layout(GREVLEX, layout.arity, bits)
+            num, layout = _repack(num, layout, narrow), narrow
+    out = object.__new__(Poly)
+    out.arity, out.layout, out.num, out.den = layout.arity, layout, num, den
+    return out
+
+
+def _from_packed(layout: _Layout, num: dict, den: int = 1) -> "Poly":
+    """The polynomial num/den packed by any layout, as a canonical Poly."""
+    if layout.order != GREVLEX:  # an upper bound on the degree; _make narrows
+        grevlex = _layout(GREVLEX, layout.arity, _width(layout.arity * layout.cap))
+        num, layout = _repack(num, layout, grevlex), grevlex
+    return _make(layout, num, den)
+
+
+def _aligned(polys) -> tuple:
+    """(layout, numerators) of polynomials of one arity at their widest width."""
+    layout = max((p.layout for p in polys), key=lambda lay: lay.bits)
+    return layout, [p.num if p.layout is layout else _repack(p.num, p.layout, layout)
+                    for p in polys]
 
 
 class Poly:
-    """A sparse polynomial with ``Fraction`` coefficients.
+    """A sparse polynomial with rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``arity`` to nonzero
-    coefficients.  Instances are treated as immutable: no method mutates
-    ``self`` and the ``terms`` dict must not be modified by callers.
+    ``num`` maps packed monomials (``layout``, grevlex at the narrowest
+    width that holds the degree) to nonzero integer numerators over the
+    common denominator ``den > 0``, whose gcd with the numerators is 1.
+    Instances are treated as immutable: no method mutates ``self`` and the
+    ``num`` dict must not be modified by callers.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "layout", "num", "den")
 
     def __init__(self, arity: int, terms=None):
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        self.arity = arity
         clean = {}
         for mono, coeff in (terms or {}).items():
-            coeff = _as_coeff(coeff)
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError("polynomial coefficients must be exact rationals, "
+                                f"got {type(coeff).__name__}")
+            coeff = Fraction(coeff)
             if len(mono) != arity:
                 raise ValueError(f"exponent vector {mono} does not match arity {arity}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
             if coeff:
                 clean[tuple(mono)] = coeff
-        self.terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        layout = _layout(GREVLEX, arity, _width(max(map(sum, clean), default=0)))
+        canon = _make(layout, {layout.pack(m): c.numerator * (den // c.denominator)
+                               for m, c in clean.items()}, den)
+        self.arity, self.layout, self.num, self.den = arity, canon.layout, canon.num, canon.den
 
     # -- constructors -------------------------------------------------------
 
@@ -163,10 +242,11 @@ class Poly:
 
     @staticmethod
     def const(arity: int, value) -> "Poly":
-        value = _as_coeff(value)
-        if not value:
-            return Poly(arity)
-        return Poly(arity, {(0,) * arity: value})
+        if arity < 1 or not isinstance(value, (int, Fraction)):
+            return Poly(arity, {(0,) * arity: value})  # raises the constructor's error
+        value = Fraction(value)
+        return _make(_layout(GREVLEX, arity, _BITS), {0: value.numerator} if value else {},
+                     value.denominator)
 
     @staticmethod
     def one(arity: int) -> "Poly":
@@ -176,78 +256,85 @@ class Poly:
     def variable(arity: int, index: int) -> "Poly":
         if not 0 <= index < arity:
             raise IndexError(f"variable index {index} out of range for arity {arity}")
-        mono = tuple(1 if i == index else 0 for i in range(arity))
-        return Poly(arity, {mono: _ONE})
+        layout = _layout(GREVLEX, arity, _BITS)
+        return _make(layout, {layout.weights[index]: 1})
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict of exponent tuples to ``Fraction`` coefficients."""
+        unpack, den = self.layout.unpack, self.den
+        return {unpack(m): Fraction(c, den) for m, c in self.num.items()}
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(self.num) >> self.layout.degshift if self.num else -1
 
     def constant_value(self):
         """The coefficient when the polynomial is constant, else None."""
-        if not self.terms:
-            return _ZERO
-        if len(self.terms) == 1:
-            (mono, coeff), = self.terms.items()
-            if mono_degree(mono) == 0:
-                return coeff
+        if set(self.num) <= {0}:
+            return Fraction(self.num.get(0, 0), self.den)
         return None
+
+    def _packed_for(self, order) -> tuple:
+        """(layout, numerators) of this polynomial packed for ``order``."""
+        layout = _layout(order, self.arity, self.layout.bits)
+        return layout, self.num if layout is self.layout else _repack(self.num, self.layout, layout)
+
+    def sorted_terms(self, order: MonomialOrder = GREVLEX):
+        """(exponent tuple, coefficient) pairs, the largest monomial first."""
+        layout, num = self._packed_for(order)
+        return [(layout.unpack(m), Fraction(num[m], self.den))
+                for m in sorted(num, key=layout.flip.__xor__, reverse=True)]
 
     def leading(self, order: MonomialOrder = GREVLEX):
         """Leading (monomial, coefficient) pair under ``order``."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("the zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
-
-    def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        """Term list sorted with the largest monomial first."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        layout, num = self._packed_for(order)
+        m = max(num, key=layout.flip.__xor__)
+        return layout.unpack(m), Fraction(num[m], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_arity(self, other: "Poly"):
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Poly.const(self.arity, other)
+        if isinstance(other, Poly):
+            if other.arity != self.arity:
+                raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+            return other
+        return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.arity, other)
-        if not isinstance(other, Poly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check_arity(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, _ZERO) + coeff
-            if acc:
-                terms[mono] = acc
+        layout, (a, b) = _aligned((self, other))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = dict(a) if fa == 1 else {m: c * fa for m, c in a.items()}
+        for m, c in b.items():
+            c = c * fb + out.get(m, 0)
+            if c:
+                out[m] = c
             else:
-                terms.pop(mono, None)
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = terms
-        return out
+                del out[m]
+        return _make(layout, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _make(self.layout, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.arity, other)
-        if not isinstance(other, Poly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -255,30 +342,30 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_coeff(other)
-            if not c:
-                return Poly(self.arity)
-            out = Poly.__new__(Poly)
-            out.arity = self.arity
-            out.terms = {m: co * c for m, co in self.terms.items()}
-            return out
-        if not isinstance(other, Poly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check_arity(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                acc = terms.get(mono, _ZERO) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        out = Poly.__new__(Poly)
-        out.arity = self.arity
-        out.terms = terms
-        return out
+        layout, (a, b) = _aligned((self, other))
+        if not a or not b:
+            return Poly(self.arity)
+        if max(a) + max(b) >= layout.bound:  # the product's degree needs a wider field
+            wide = _layout(GREVLEX, self.arity,
+                           _width((max(a) >> layout.degshift) + (max(b) >> layout.degshift)))
+            a, b, layout = _repack(a, layout, wide), _repack(b, layout, wide), wide
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            (m2, c2), = b.items()
+            out = {m + m2: c * c2 for m, c in a.items()}
+        else:
+            out = {}
+            get = out.get
+            for m2, c2 in b.items():
+                for m, c in a.items():
+                    m += m2
+                    out[m] = get(m, 0) + c * c2
+            out = {m: c for m, c in out.items() if c}
+        return _make(layout, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -286,13 +373,10 @@ class Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
         result = Poly.one(self.arity)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for bit in bin(exponent)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):
@@ -300,13 +384,14 @@ class Poly:
             other = Poly.const(self.arity, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (self.arity == other.arity and self.den == other.den
+                and self.layout.bits == other.layout.bits and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.den, frozenset(self.num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     # -- calculus and structure ----------------------------------------------
 
@@ -314,13 +399,14 @@ class Poly:
         """Formal partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.arity:
             raise IndexError(f"variable index {index} out of range for arity {self.arity}")
-        terms = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
+        layout = self.layout
+        shift, weight, cap = layout.shifts[index], layout.weights[index], layout.cap
+        out = {}
+        for m, c in self.num.items():
+            e = (m >> shift) & cap
             if e:
-                new = mono[:index] + (e - 1,) + mono[index + 1:]
-                terms[new] = terms.get(new, _ZERO) + coeff * e
-        return Poly(self.arity, terms)
+                out[m - weight] = c * e
+        return _make(layout, out, self.den)
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None when degrees are mixed.
@@ -328,24 +414,19 @@ class Poly:
         Raises ValueError on the zero polynomial, whose degree is a matter of
         convention left to the caller.
         """
-        if not self.terms:
+        if not self.num:
             raise ValueError("the zero polynomial has no homogeneous degree")
-        degrees = {mono_degree(m) for m in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        shift = self.layout.degshift
+        degrees = {m >> shift for m in self.num}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def permuted(self, perm) -> "Poly":
         """Rename variables by ``perm``: x_i becomes x_{perm[i]}."""
         if sorted(perm) != list(range(self.arity)):
             raise ValueError("perm must be a permutation of the variable indices")
-        terms = {}
-        for mono, coeff in self.terms.items():
-            new = [0] * self.arity
-            for i, e in enumerate(mono):
-                new[perm[i]] = e
-            terms[tuple(new)] = coeff
-        return Poly(self.arity, terms)
+        inverse = sorted(range(self.arity), key=lambda i: perm[i])
+        return Poly(self.arity, {tuple(mono[i] for i in inverse): coeff
+                                 for mono, coeff in self.terms.items()})
 
     # -- printing -------------------------------------------------------------
 
@@ -357,22 +438,51 @@ class Poly:
 
 
 def exact_div(p: Poly, g: Poly) -> Poly:
-    """Quotient p / g when g divides p exactly; raises ValueError otherwise."""
+    """Quotient p / g when g divides p exactly; raises ValueError otherwise.
+
+    Fraction-free long division of the numerators, scaled as ``_reduce`` in
+    the Groebner engine: ``scale * P = Q * G`` holds at the end.
+    """
     if g.is_zero:
         raise ValueError("division by the zero polynomial")
-    p._check_arity(g)
-    lm_g, lc_g = g.leading(GREVLEX)
-    remainder = p
-    quotient_terms = {}
-    while not remainder.is_zero:
-        lm_r, lc_r = remainder.leading(GREVLEX)
-        if not mono_divides(lm_g, lm_r):
+    g = p._coerce(g)
+    layout, (P, G) = _aligned((p, g))
+    guard, rev = layout.guard, layout.rev
+    lm = max(G, key=layout.flip.__xor__)
+    lc = G[lm]
+    tail = [(m, c) for m, c in G.items() if m != lm]
+    work = dict(P)
+    heap = [m ^ rev for m in work]
+    heapify(heap)
+    quotient = []
+    scale = 1
+    while heap:
+        m = heappop(heap) ^ rev
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        shift = m - lm
+        if shift & guard:
             raise ValueError("polynomial division is not exact")
-        q_mono = mono_div(lm_r, lm_g)
-        q_coeff = lc_r / lc_g
-        quotient_terms[q_mono] = q_coeff
-        remainder = remainder - Poly(p.arity, {q_mono: q_coeff}) * g
-    return Poly(p.arity, quotient_terms)
+        f = abs(lc) // gcd(c, lc)
+        if f != 1:
+            scale *= f
+            for k in work:
+                work[k] *= f
+        c = c * f // lc
+        quotient.append((shift, c, scale))
+        for tm, tc in tail:
+            nm = tm + shift
+            d = c * tc
+            old = work.get(nm)
+            if old is None:
+                work[nm] = -d
+                heappush(heap, nm ^ rev)
+            elif old == d:
+                del work[nm]
+            else:
+                work[nm] = old - d
+    return _make(layout, {m: c * (scale // s) * g.den for m, c, s in quotient}, scale * p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +535,6 @@ class _Parser:
         tok = self.peek()
         self.pos += 1
         return tok
-
-    def expect_op(self, symbol):
-        kind, value = self.take()
-        if kind != "op" or value != symbol:
-            raise PolyParseError(f"expected {symbol!r}, got {value!r}")
 
     def parse(self) -> Poly:
         poly = self.expression()
@@ -500,7 +605,9 @@ class _Parser:
             return Poly.variable(self.arity, self.var_index[value])
         if kind == "op" and value == "(":
             inner = self.expression()
-            self.expect_op(")")
+            kind, value = self.take()
+            if (kind, value) != ("op", ")"):
+                raise PolyParseError(f"expected ')', got {value!r}")
             return inner
         raise PolyParseError(f"unexpected token {value!r}")
 

@@ -11,7 +11,16 @@ import itertools
 import random
 from fractions import Fraction
 
-from logfol.poly import Poly, mono_degree, mono_divides, parse_poly
+from logfol.poly import Poly, parse_poly
+
+
+def mono_degree(a) -> int:
+    return sum(a)
+
+
+def mono_divides(a, b) -> bool:
+    """True when x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def P(text: str, arity: int) -> Poly:

@@ -41,6 +41,19 @@ ZERO_FORM_SPECS = {
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "verify_reports.json")
 
 
+# specs whose fields have the wrong shape, and the error each one gives
+MALFORMED_SPECS = {
+    "matrix-row-not-a-list": (dict(GOOD_SPEC, residue_matrix=[7]),
+                              "'residue_matrix' must be a list of rows"),
+    "matrix-row-a-string": (dict(GOOD_SPEC, residue_matrix=["1", "1", "-2"]),
+                            "'residue_matrix' must be a list of rows"),
+    "variable-not-a-string": (dict(GOOD_SPEC, variables=[["a"], "b", "c"]),
+                              "'variables' must list 3 distinct names"),
+    "n-below-two": (dict(GOOD_SPEC, n=-1, divisors=["1"], residue_matrix=[[1]]),
+                    "ambient projective dimension must be at least 2"),
+}
+
+
 def write_spec(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
@@ -67,7 +80,7 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == EXIT_IO
 
 
-def test_bad_json_exits_one(tmp_path):
+def test_bad_json_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["check", str(path)]) == EXIT_IO
@@ -77,6 +90,10 @@ def test_bad_json_exits_one(tmp_path):
     folder = tmp_path / "x.json"
     folder.mkdir()
     assert main(["verify", str(folder)]) == EXIT_IO
+    capsys.readouterr()
+    for label, (payload, message) in MALFORMED_SPECS.items():
+        assert main(["check", write_spec(tmp_path / f"{label}.json", payload)]) == EXIT_IO
+        assert message in capsys.readouterr().err, label
 
 
 def test_bad_polynomial_exits_one(tmp_path):
@@ -299,14 +316,18 @@ def test_verify_builds_each_ideal_and_sweep_once(monkeypatch):
 
 
 def test_verify_reports_match_recorded_fixture(tmp_path, capsys):
-    """Machine reports of the worked P^2 instance and the conics instance,
-    timings stripped, as recorded before the instance pipeline was memoized."""
+    """Machine reports, timings stripped, of the worked P^2 instance, the
+    conics instance, rational divisor coefficients with custom variables,
+    raw rational residues, a q=2 matrix arrangement on P^4 and one
+    ``compute --which all``, each recorded with an earlier version of the
+    program.  An entry without a ``command`` is a ``verify`` run."""
     with open(FIXTURES, encoding="utf-8") as handle:
         recorded = json.load(handle)
     assert recorded["conics-p2"]["spec"] == CONICS_SPEC
     for label, entry in sorted(recorded.items()):
         spec = write_spec(tmp_path / f"{label}.json", entry["spec"])
-        assert main(["verify", spec, "--format", "machine"]) == EXIT_OK
+        command = entry.get("command", ["verify"])
+        assert main(command + [spec, "--format", "machine"]) == EXIT_OK
         assert strip_timings(json.loads(capsys.readouterr().out)) == entry["report"], label
 
 
@@ -347,13 +368,19 @@ def test_batch_directory_flags_failures(tmp_path, capsys):
     write_spec(specs / "list.json", [1, 2])
     for label, payload in ZERO_FORM_SPECS.items():
         write_spec(specs / f"{label}.json", payload)
+    for label, (payload, _) in MALFORMED_SPECS.items():
+        write_spec(specs / f"{label}.json", payload)
     code = main(["batch", str(specs), "--level", "basic", "--format", "machine"])
     assert code == EXIT_VALIDATION
     summary = json.loads(capsys.readouterr().out)
     assert {r["name"]: r["verdict"] for r in summary["results"]} == {
         "bad.json": "precondition-failed", "cancelling.json": "validation-failed",
         "good.json": "pass", "latin1.json": "error", "list.json": "error",
-        "x.json": "error", "zero-lambdas.json": "validation-failed"}
+        "x.json": "error", "zero-lambdas.json": "validation-failed",
+        **{f"{label}.json": "error" for label in MALFORMED_SPECS}}
+    errors = {r["name"]: r["error"] for r in summary["reports"] if r["verdict"] == "error"}
+    for label, (_, message) in MALFORMED_SPECS.items():
+        assert message in errors[f"{label}.json"]
     assert summary["verdict"] == "precondition-failed"
 
 

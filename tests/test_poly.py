@@ -9,6 +9,7 @@ from logfol.poly import (
     Block,
     Poly,
     PolyParseError,
+    _layout,
     exact_div,
     parse_poly,
     poly_to_str,
@@ -167,27 +168,34 @@ def test_permuted():
 
 # -- monomial orders ------------------------------------------------------------
 
+def order_key(order, mono):
+    """Sort key of an exponent tuple under ``order``: its packed monomial
+    with the reverse-compared fields flipped."""
+    layout = _layout(order, len(mono), 7)
+    return layout.pack(mono) ^ layout.flip
+
+
 def test_grevlex_order():
     # degree first; ties broken against the *last* differing exponent
-    key = GREVLEX.key
+    key = lambda mono: order_key(GREVLEX, mono)
     m_x0, m_x1, m_x2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     assert key(m_x0) > key(m_x1) > key(m_x2)
     assert key((0, 1, 1)) > key(m_x0)
     # classic grevlex vs lex disagreement: x0*x2^2 vs x1^2*x2
     assert key((1, 0, 2)) < key((0, 2, 1))
-    assert LEX.key((1, 0, 2)) > LEX.key((0, 2, 1))
+    assert order_key(LEX, (1, 0, 2)) > order_key(LEX, (0, 2, 1))
 
 
 def test_lex_order():
-    assert LEX.key((1, 0)) > LEX.key((0, 5))
+    assert order_key(LEX, (1, 0)) > order_key(LEX, (0, 5))
 
 
 def test_block_order_eliminates_prefix():
     order = Block(1)
     # anything with t (variable 0) beats anything without
-    assert order.key((1, 0, 0)) > order.key((0, 7, 7))
+    assert order_key(order, (1, 0, 0)) > order_key(order, (0, 7, 7))
     # within the t-free block it is grevlex
-    assert order.key((0, 1, 0)) > order.key((0, 0, 1))
+    assert order_key(order, (0, 1, 0)) > order_key(order, (0, 0, 1))
 
 
 def test_leading_term_respects_order():
@@ -200,3 +208,98 @@ def test_sorted_terms_descending():
     p = P("x0 + x1^2 + 1", 2)
     monos = [m for m, _ in p.sorted_terms(GREVLEX)]
     assert monos == [(0, 2), (1, 0), (0, 0)]
+
+
+# -- independent oracle: SymPy's polynomials over QQ ------------------------------
+
+def _rational_poly(rng, arity, degree, terms, high=False):
+    """A random polynomial with rational coefficients; with ``high``, about
+    half of its terms get one exponent between 40 and 120: the polynomial
+    fits the narrowest field width (degrees up to 127), and products and
+    powers of such polynomials are repacked wider."""
+    out = {}
+    for _ in range(terms):
+        mono = [0] * arity
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(arity)] += 1
+        if high and rng.random() < 0.5:
+            mono[rng.randrange(arity)] += rng.randint(40, 120)
+        out[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Poly(arity, out)
+
+
+def _oracle_cases(seed, count):
+    """(arity, symbols, a, b) for random polynomials in 1-5 variables."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    for case in range(count):
+        arity = rng.randint(1, 5)
+        high = case % 3 == 0
+        yield (rng, sympy.symbols(f"x0:{arity}"),
+               _rational_poly(rng, arity, 3, rng.randint(1, 5), high),
+               _rational_poly(rng, arity, 3, rng.randint(1, 5), high))
+
+
+def _to_sympy(p, xs):
+    import sympy
+    return sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                 for m, c in p.terms.items()}, *xs, domain="QQ")
+
+
+def _terms_of(sp):
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in sp.as_dict().items() if c}
+
+
+def test_ring_operations_match_sympy():
+    for rng, xs, a, b in _oracle_cases(6021, 90):
+        A, B = _to_sympy(a, xs), _to_sympy(b, xs)
+        assert (a + b).terms == _terms_of(A + B), (a, b)
+        assert (a - b).terms == _terms_of(A - B), (a, b)
+        assert (a * b).terms == _terms_of(A * B), (a, b)
+        k = rng.randint(0, 3)
+        assert (a ** k).terms == _terms_of(A ** k), (a, k)
+        assert (a * Fraction(-3, 7)).terms == _terms_of(A * Fraction(-3, 7)), a
+
+
+def test_partial_derivatives_match_sympy():
+    for _, xs, a, _ in _oracle_cases(6022, 60):
+        A = _to_sympy(a, xs)
+        for i, x in enumerate(xs):
+            assert a.partial_derivative(i).terms == _terms_of(A.diff(x)), (a, i)
+
+
+def test_exact_division_matches_sympy():
+    for _, xs, q, g in _oracle_cases(6023, 60):
+        if g.is_zero or q.is_zero:
+            continue
+        p = q * g
+        quotient, remainder = _to_sympy(p, xs).div(_to_sympy(g, xs))
+        assert remainder.is_zero and exact_div(p, g).terms == _terms_of(quotient), (q, g)
+        if g.total_degree() > 0:
+            bumped = p + Poly.const(p.arity, Fraction(1, 3))
+            assert not _to_sympy(bumped, xs).div(_to_sympy(g, xs))[1].is_zero
+            with pytest.raises(ValueError):
+                exact_div(bumped, g)
+
+
+def test_print_parse_round_trip_matches_sympy():
+    for _, xs, a, _ in _oracle_cases(6024, 60):
+        text = poly_to_str(a)
+        back = parse_poly(text, a.arity)
+        assert back == a and hash(back) == hash(a), text
+        assert back.terms == _terms_of(_to_sympy(a, xs)), text
+
+
+def test_equal_polynomials_from_different_routes_hash_equal():
+    for rng, _, a, b in _oracle_cases(6025, 60):
+        c = _rational_poly(rng, a.arity, 2, 3, high=True)
+        routes = [(a + b) * c, a * c + b * c, c * (b + a),
+                  (a * c * 2 + b * c * 2) * Fraction(1, 2), (a + c) * c + b * c - c * c]
+        for other in routes[1:]:
+            assert other == routes[0] and hash(other) == hash(routes[0]), (a, b, c)
+    # a sum whose high-degree terms cancel is packed as its narrow self again
+    x0, x1 = variables(2)
+    high = x0 ** 300
+    low = (high + x1 * Fraction(1, 2)) - high
+    assert low == x1 * Fraction(1, 2) and hash(low) == hash(x1 * Fraction(1, 2))
+    assert low.layout is (x1 * Fraction(1, 2)).layout
