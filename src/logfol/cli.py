@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import random
@@ -444,7 +445,9 @@ def _add_common(parser):
                         help="override the validation level declared in the spec file")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="logfol",
         description="Singular, Kupka and persistent-singularity ideals of "

@@ -21,10 +21,11 @@ Validation is layered:
 
 * ``basic``    homogeneity of the divisors and the descent conditions;
 * ``generic``  basic, plus residue scalars pairwise distinct and nonzero,
-               plus smoothness of each divisor hypersurface;
+               plus smoothness of each divisor hypersurface (exact for a
+               linear one: its derivatives are nonzero constants);
 * ``full-snc`` generic, plus transversality of the divisor arrangement at
                every depth (every k-fold intersection, k up to
-               min(s, n+1), has codimension k or is empty).
+               min(s, n+1), has codimension k or is empty), in one walk.
 
 A failed validation raises ``SpecValidationError`` carrying one structured
 entry per failed check; nothing is reported by crashing.
@@ -147,30 +148,6 @@ def _det(matrix) -> Fraction:
     return total
 
 
-def _rank(rows) -> int:
-    """Rank over Q of equal-length integer rows, by fraction-free elimination.
-
-    Each eliminated row is divided by the gcd of its entries, which keeps
-    the integers small without leaving Z.
-    """
-    rows = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col]
-            if factor:
-                row = [head[col] * a - factor * b for a, b in zip(rows[i], head)]
-                content = math.gcd(*row)
-                rows[i] = [a // content for a in row] if content > 1 else row
-        rank += 1
-    return rank
-
-
 def lambda_table(spec: FoliationSpec) -> dict:
     """Residue scalar for every q-subset: minors in matrix mode, as given in raw mode."""
     if spec.mode == "raw":
@@ -248,27 +225,49 @@ def _linear_row(f: Poly):
     return row
 
 
+def _eliminate(row, head, col):
+    """``row`` cleared in column ``col`` by ``head``, made primitive; None stays None."""
+    if row is None or not row[col]:
+        return row
+    lead, factor = head[col], row[col]
+    row = [lead * a - factor * b for a, b in zip(row, head)]
+    content = math.gcd(*row)
+    return [a // content for a in row] if content > 1 else row
+
+
 def transversality_violations(divisors, arity, max_size) -> list:
-    """Subsets K (size 2..max_size) whose intersection has wrong codimension.
+    """(K, height) for each subset K, of size 2..max_size, whose intersection
+    has the wrong codimension, sorted by size and then by K.
 
     The arrangement is transversal at K when the ideal (f_i : i in K) has
-    height |K| or defines the empty projective locus.  For linear divisors
-    the height is the rank of their coefficient rows; a subset holding a
+    height |K| or defines the empty projective locus.  One depth-first walk
+    visits the subsets in increasing index order.  Each node holds the
+    integer rows of the later linear divisors reduced against the echelon
+    form of its own, so a child costs one elimination step per later row and
+    raises the height when its reduced row is nonzero.  A subset holding a
     divisor of higher degree goes through a Groebner basis.
     """
-    rows = [_linear_row(f) for f in divisors]
     bad = []
-    for size in range(2, max_size + 1):
-        for subset in itertools.combinations(range(len(divisors)), size):
-            if all(rows[i] is not None for i in subset):
-                height = _rank([rows[i] for i in subset])
-                dim = arity - height
-            else:
-                dim = krull_dimension(Ideal(arity, [divisors[i] for i in subset]))
-                height = arity - dim
-            if height != size and dim > 0:
+
+    def visit(subset, height, rest, mixed):
+        # rest: (j, row) for each divisor after the subset, row None when not linear
+        size = len(subset)
+        if size >= 2:
+            if mixed:
+                height = arity - krull_dimension(Ideal(arity, [divisors[i] for i in subset]))
+            if height != size and height < arity:
                 bad.append((subset, height))
-    return bad
+        if size == max_size:
+            return
+        for k, (j, row) in enumerate(rest):
+            later = rest[k + 1:]
+            col = None if mixed or row is None else next((c for c, a in enumerate(row) if a), None)
+            if col is not None and size + 1 < max_size:
+                later = [(i, _eliminate(r, row, col)) for i, r in later]
+            visit(subset + (j,), height + (col is not None), later, mixed or row is None)
+
+    visit((), 0, [(j, _linear_row(f)) for j, f in enumerate(divisors)], False)
+    return sorted(bad, key=lambda item: (len(item[0]), item[0]))
 
 
 def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
@@ -287,14 +286,11 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
     # homogeneity of each divisor
     degrees = []
     for i, f in enumerate(spec.divisors):
-        d = f.homogeneous_degree()
-        if d is None or d == 0:
+        degrees.append(f.homogeneous_degree() or None)
+        if degrees[-1] is None:
             failures.append(ValidationFailure(
                 "homogeneity", f"divisor {i + 1}",
                 "must be homogeneous of positive degree"))
-            degrees.append(None)
-        else:
-            degrees.append(d)
     homogeneous = all(d is not None for d in degrees)
     if homogeneous:
         certificate.append(f"homogeneity: degrees {tuple(degrees)}")
@@ -338,7 +334,8 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
 
         if homogeneous:
             for i, f in enumerate(spec.divisors):
-                if krull_dimension(_jacobian_ideal(f)) > 0:
+                # a nonzero linear form has a nonzero constant partial derivative
+                if _linear_row(f) is None and krull_dimension(_jacobian_ideal(f)) > 0:
                     failures.append(ValidationFailure(
                         "smoothness", f"divisor {i + 1}",
                         "hypersurface is singular (Jacobian locus nonempty)"))

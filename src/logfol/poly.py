@@ -201,6 +201,19 @@ def _aligned(polys) -> tuple:
                     for p in polys]
 
 
+def _signed_sum(polys, signs) -> "Poly":
+    """The sum of sign * p over the polynomials, in one pass."""
+    layout, nums = _aligned(polys)
+    den = lcm(*(p.den for p in polys))
+    out = {}
+    get = out.get
+    for p, num, sign in zip(polys, nums, signs):
+        f = den // p.den * sign
+        for m, c in num.items():
+            out[m] = get(m, 0) + c * f
+    return _make(layout, {m: c for m, c in out.items() if c}, den)
+
+
 class Poly:
     """A sparse polynomial with rational coefficients.
 
@@ -315,17 +328,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        layout, (a, b) = _aligned((self, other))
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        out = dict(a) if fa == 1 else {m: c * fa for m, c in a.items()}
-        for m, c in b.items():
-            c = c * fb + out.get(m, 0)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return _make(layout, out, den)
+        return _signed_sum((self, other), (1, 1))
 
     __radd__ = __add__
 
@@ -336,7 +339,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _signed_sum((self, other), (1, -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -543,15 +546,15 @@ class _Parser:
         return poly
 
     def expression(self) -> Poly:
-        value = self.term()
+        terms, signs = [self.term()], [1]
         while True:
             kind, op = self.peek()
             if kind == "op" and op in "+-":
                 self.take()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+                terms.append(self.term())
+                signs.append(1 if op == "+" else -1)
             else:
-                return value
+                return _signed_sum(terms, signs)
 
     def term(self) -> Poly:
         value = self.unary()
@@ -633,14 +636,16 @@ def poly_to_str(p: Poly, names=None) -> str:
         return "0"
     if names is None:
         names = [f"x{i}" for i in range(p.arity)]
+    layout, den = p.layout, p.den
     pieces = []
-    for mono, coeff in p.sorted_terms(GREVLEX):
+    for m in sorted(p.num, key=layout.flip.__xor__, reverse=True):
         factors = []
-        for i, e in enumerate(mono):
+        for i, e in enumerate(layout.unpack(m)):
             if e == 1:
                 factors.append(names[i])
             elif e > 1:
                 factors.append(f"{names[i]}^{e}")
+        coeff = p.num[m] if den == 1 else Fraction(p.num[m], den)
         magnitude = abs(coeff)
         if not factors:
             body = str(magnitude)
@@ -648,9 +653,6 @@ def poly_to_str(p: Poly, names=None) -> str:
             body = "*".join(factors)
         else:
             body = str(magnitude) + "*" + "*".join(factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        pieces.append((" - " if coeff < 0 else " + ") + body)
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from logfol import cli, foliation, schemes
+from logfol import cli, foliation, groebner, schemes
 from logfol.cli import (
     EXIT_CHECKS,
     EXIT_IO,
@@ -37,6 +37,16 @@ ZERO_FORM_SPECS = {
     "cancelling": {"n": 2, "q": 1, "divisors": ["x0", "2*x0", "x1", "3*x1"],
                    "residue_matrix": [[1, -1, 2, -2]], "validation_level": "generic"},
 }
+
+# six hyperplanes in general position on P^4, and the same with a repeated one
+LINEAR_P4_SPEC = {
+    "n": 4,
+    "q": 1,
+    "divisors": ["x0", "x1", "x2", "x3", "x4", "x0 + x1 + x2 + x3 + x4"],
+    "residue_matrix": [[1, 2, 3, 4, 5, -15]],
+    "validation_level": "full-snc",
+}
+REPEATED_P4_SPEC = dict(LINEAR_P4_SPEC, divisors=LINEAR_P4_SPEC["divisors"][:5] + ["-2*x3"])
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "verify_reports.json")
 
@@ -294,7 +304,8 @@ def test_lambda_subset_key_errors(tmp_path):
         assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
 
 
-def test_verify_builds_each_ideal_and_sweep_once(monkeypatch):
+def count_calls(monkeypatch, targets) -> collections.Counter:
+    """Count the calls of each (module, name) in ``targets`` by name."""
     calls = collections.Counter()
 
     def counted(name, original):
@@ -303,16 +314,64 @@ def test_verify_builds_each_ideal_and_sweep_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for module, name in ((foliation, "transversality_violations"),
-                         (schemes, "transversality_violations"),
-                         (schemes, "singular_ideal"),
-                         (schemes, "kupka_ideal"),
-                         (schemes, "persistent_cap")):
+    for module, name in targets:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_verify_builds_each_ideal_and_sweep_once(monkeypatch):
+    calls = count_calls(monkeypatch, ((foliation, "transversality_violations"),
+                                      (schemes, "transversality_violations"),
+                                      (schemes, "singular_ideal"),
+                                      (schemes, "kupka_ideal"),
+                                      (schemes, "persistent_cap")))
     report, code = cli.run_verify(parse_spec_document(CONICS_SPEC, "conics-p2"))
     assert code == EXIT_OK and report["verdict"] == "pass"
     assert calls == {"transversality_violations": 1, "singular_ideal": 1,
                      "kupka_ideal": 1, "persistent_cap": 1}
+
+
+def test_check_on_linear_spec_runs_no_groebner_basis(tmp_path, monkeypatch, capsys):
+    """Linear divisors are smooth and their crossings are ranks: no basis at all."""
+    for payload, expected in ((LINEAR_P4_SPEC, EXIT_OK), (REPEATED_P4_SPEC, EXIT_VALIDATION)):
+        calls = count_calls(monkeypatch, ((groebner, "groebner_terms"),
+                                          (foliation, "transversality_violations")))
+        assert main(["check", write_spec(tmp_path / "p4.json", payload)]) == expected
+        assert calls == {"transversality_violations": 1}
+    assert "subset {4,6}: intersection has codimension 1" in capsys.readouterr().out
+
+
+def test_check_on_quadric_spec_runs_jacobian_bases(tmp_path, monkeypatch):
+    jacobians, dimensions = [], []
+    jacobian_ideal, krull_dimension = foliation._jacobian_ideal, foliation.krull_dimension
+    monkeypatch.setattr(foliation, "_jacobian_ideal",
+                        lambda f: jacobians.append(jacobian_ideal(f)) or jacobians[-1])
+    monkeypatch.setattr(foliation, "krull_dimension",
+                        lambda ideal: dimensions.append(ideal) or krull_dimension(ideal))
+    calls = count_calls(monkeypatch, ((groebner, "groebner_terms"),))
+    assert main(["check", write_spec(tmp_path / "conics.json", CONICS_SPEC)]) == EXIT_OK
+    assert len(jacobians) == 3
+    assert all(any(ideal is jacobian for ideal in dimensions) for jacobian in jacobians)
+    assert calls["groebner_terms"] >= 3
+
+
+def test_cached_parser_keeps_no_options_between_calls(tmp_path, monkeypatch, capsys):
+    seen = []
+    run_verify = cli.run_verify
+
+    def recording(doc, waive=False):
+        seen.append((doc.level, waive))
+        return run_verify(doc, waive)
+
+    monkeypatch.setattr(cli, "run_verify", recording)
+    spec = write_spec(tmp_path / "s.json", GOOD_SPEC)
+    assert main(["verify", spec, "--level", "basic", "--format", "machine",
+                 "--waive-preconditions"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["validation"]["level"] == "basic"
+    assert main(["verify", spec]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("logfol verify")
+    assert seen == [("basic", True), ("full-snc", False)]
+    assert cli.build_arg_parser() is cli.build_arg_parser()
 
 
 def test_verify_reports_match_recorded_fixture(tmp_path, capsys):

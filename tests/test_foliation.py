@@ -112,6 +112,81 @@ def test_concurrent_lines_fail_snc():
     assert violating >= 10 and mixed >= 10
 
 
+def _linear(arity, row, scale=1):
+    return Poly(arity, {tuple(int(j == i) for j in range(arity)): Fraction(c) * scale
+                        for i, c in enumerate(row) if c})
+
+
+def _combination(rows, coeffs):
+    return [sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(len(rows[0]))]
+
+
+# (n, linear forms, planted dependencies, smooth quadric added): 6..8 divisors on P^4, P^5
+DEPENDENT_CASES = (
+    (4, 6, "repeat+3", False), (5, 6, "span-n", False), (4, 6, "repeat+4", False),
+    (4, 7, "repeat+span-n", False), (5, 7, "repeat+3", True), (4, 7, "span-n", False),
+    (5, 8, "repeat+span-n", False), (5, 7, "repeat+4", True), (5, 8, "span-n", False),
+    (4, 8, "repeat+3", False), (4, 7, "span-n", True), (4, 7, "repeat+span-n", True),
+)
+
+
+def _dependent_arrangement(rng, n, count, kind, quadric):
+    """Divisors on P^n, shuffled: ``count`` linear forms, dense random rows
+    (generically in general position) with planted dependencies, and maybe
+    a smooth quadric.  "repeat" repeats a hyperplane, "3" and "4" make three
+    or four forms dependent, and "span-n" puts a form in the span of n
+    others, which is seen only at depth n+1."""
+    arity = n + 1
+    rows = [[rng.choice([-7, -5, -3, -2, -1, 1, 2, 3, 5, 7]) for _ in range(arity)]
+            for _ in range(count)]
+    repeat = kind.startswith("repeat")
+    if repeat:  # the last form is a multiple of the first
+        factor = rng.choice([-2, -1, 3])
+        rows[-1] = [factor * c for c in rows[0]]
+    others = {"3": 2, "4": 3, "span-n": n}[kind.rsplit("+", 1)[-1]]
+    rows[-1 - repeat] = _combination(rows[repeat:repeat + others],
+                                     [rng.choice([-2, -1, 1, 3]) for _ in range(others)])
+    divisors = [_linear(arity, row, Fraction(1, rng.randint(1, 3))) for row in rows]
+    if quadric:
+        divisors.append(random_smooth_quadric(rng, arity))
+    rng.shuffle(divisors)
+    return divisors, arity
+
+
+def test_walk_matches_rank_oracle_at_check_snc_size():
+    """The walk's (subset, height) list, order included, against SymPy's rank
+    of each linear subset and the Krull dimension of each mixed one."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(2208)
+    first_depths, depths = set(), set()
+    for case, (n, count, kind, quadric) in enumerate(DEPENDENT_CASES):
+        divisors, arity = _dependent_arrangement(rng, n, count, kind, quadric)
+        max_size = min(len(divisors), arity)
+        expected = []
+        for size in range(2, max_size + 1):
+            for subset in itertools.combinations(range(len(divisors)), size):
+                fs = [divisors[i] for i in subset]
+                if all(f.total_degree() == 1 for f in fs):
+                    coeffs = [[f.terms.get(tuple(int(j == i) for j in range(arity)), 0)
+                               for i in range(arity)] for f in fs]
+                    height = DomainMatrix([[QQ(c.numerator, c.denominator) for c in row]
+                                           for row in coeffs], (size, arity), QQ).rank()
+                else:
+                    height = arity - krull_dimension(Ideal(arity, fs))
+                if height != size and height < arity:
+                    expected.append((subset, height))
+        assert transversality_violations(divisors, arity, max_size) == expected, case
+        first_depths.add((len(expected[0][0]), kind if quadric else kind + "/linear"))
+        depths.add(len({len(subset) for subset, _ in expected}))
+    # repeated hyperplanes at depth 2; a form in the span of n others first at n+1
+    assert {(2, "repeat+3/linear"), (2, "repeat+span-n/linear"), (2, "repeat+4")} <= first_depths
+    assert {d for d, kind in first_depths if kind == "span-n/linear"} == {5, 6}
+    assert max(depths) >= 4
+
+
 def test_descent_violation_names_row():
     with pytest.raises(SpecValidationError) as err:
         validate_spec(coordinate_spec(2, 1, 3, [[1, 2, -1]]), "basic")
