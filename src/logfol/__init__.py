@@ -42,9 +42,6 @@ from .groebner import (
     radical_membership,
 )
 from .poly import (
-    GREVLEX,
-    LEX,
-    Block,
     Poly,
     PolyParseError,
     exact_div,

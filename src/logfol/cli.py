@@ -126,7 +126,7 @@ def parse_spec_document(data: dict, name: str) -> SpecDocument:
         if field not in data:
             raise SpecFileError(f"missing required field {field!r}")
     n, q = data["n"], data["q"]
-    if not isinstance(n, int) or not isinstance(q, int):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, q)):
         raise SpecFileError("'n' and 'q' must be integers")
     if n < 2:
         raise SpecFileError("ambient projective dimension must be at least 2")
@@ -192,6 +192,8 @@ def load_spec_file(path: str) -> SpecDocument:
         raise SpecFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecFileError(f"{path} nests JSON too deeply to read") from None
     return parse_spec_document(data, os.path.basename(path))
 
 

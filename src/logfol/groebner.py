@@ -6,13 +6,14 @@ criteria.  Everything else in the module reduces to it:
 
 * membership and normal forms come from the division algorithm,
 * intersections come from elimination of an auxiliary variable ``t``
-  (``t*I + (1-t)*J`` under a block order),
+  (``t*I + (1-t)*J`` under the elimination order of t),
 * the colon by a polynomial divides the intersection with the principal
   ideal it generates, and ``module_annihilator`` is the one colon by an
   ideal: it intersects those colons and skips each one that the
   intersection so far already lies in,
 * saturation iterates ``module_annihilator`` to a fixed point,
-* radical membership is decided by adjoining ``1 - t*f``,
+* radical membership is decided by adjoining ``1 - t*f``, in the same
+  elimination layout,
 * Krull dimension is read off the leading-term ideal as the size of the
   largest subset of variables meeting the support of no leading monomial.
 
@@ -20,10 +21,10 @@ Every number is a Python int, and the engine speaks the representation
 of ``Poly`` (see ``poly.py``): integer numerators on monomials packed by a
 ``_Layout``.  ``groebner_terms``, ``normal_form`` and ``GroebnerBasis``
 take and return packed numerators; grevlex runs need no conversion, and an
-elimination puts t in the top field of ``Block(1)``, under which the t-free
-monomials pack exactly as grevlex.  A basis entry is ``(lm, lc, tail,
-top)``, a primitive polynomial with ``lc > 0`` and ``top`` the fieldwise
-maximum of its tail.  ``_reduce`` is fraction-free: it scales the work
+elimination puts t in the top field of an ``ELIMINATION`` layout, under
+which the t-free monomials pack exactly as grevlex.  A basis entry is
+``(lm, lc, tail, top)``, a primitive polynomial with ``lc > 0`` and ``top``
+the fieldwise maximum of its tail.  ``_reduce`` is fraction-free: it scales the work
 polynomial by ``lc/gcd`` before subtracting ``c/gcd`` times a shifted
 entry, and keeps the product of those factors, so that ``remainder /
 scale`` is the exact rational normal form.  x^a divides x^b exactly when
@@ -32,8 +33,9 @@ before a shifted tail is formed catches any field that would overflow;
 the computation then starts again at twice the field width.
 
 Ideals are homogeneous by construction (intermediate elimination steps are
-not, which is fine for Buchberger); reduced bases are cached per order on
-the ideal object, so repeated queries are cheap.
+not, which is fine for Buchberger).  Every ideal, basis and normal form is
+grevlex; the reduced basis is cached on the ideal object, so repeated
+queries are cheap.
 """
 
 from __future__ import annotations
@@ -45,12 +47,10 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .poly import (
+    ELIMINATION,
     GREVLEX,
-    Block,
-    MonomialOrder,
     Poly,
     _aligned,
-    _from_packed,
     _Layout,
     _layout,
     _make,
@@ -217,24 +217,25 @@ def _buchberger(seed: list, layout: _Layout):
     return out
 
 
-def groebner_terms(generators: list[dict], order, layout: _Layout) -> tuple:
-    """Reduced Groebner basis of the ideal generated by packed polynomials.
+def groebner_terms(generators: list[dict], layout: _Layout) -> tuple:
+    """Reduced Groebner basis of the ideal generated by packed polynomials,
+    under the order of ``layout`` (named by ``layout.name``).
 
     ``generators`` map monomials packed by ``layout`` to integers; a
     generator stands for any nonzero rational multiple of itself.  Returns
-    ``(run, elements)``: ``run`` is the ``order`` layout at the width the
-    computation finished in (``layout`` itself when it packs for ``order``
-    and nothing overflowed), and ``elements`` are the monic, fully
-    inter-reduced basis polynomials as ``(numerators, denominator)`` pairs
-    packed by ``run``, sorted by decreasing leading monomial; the result is
-    canonical for (ideal, order).
+    ``(run, elements)``: ``run`` is the layout of the same order at the
+    width the computation finished in (``layout`` itself when nothing
+    overflowed), and ``elements`` are the monic, fully inter-reduced basis
+    polynomials as ``(numerators, denominator)`` pairs packed by ``run``,
+    sorted by decreasing leading monomial; the result is canonical for
+    (ideal, order).
     """
     seed = [g for g in generators if g]
     if any(len(g) == 1 and 0 in g for g in seed):
         return layout, [({0: 1}, 1)]  # a nonzero constant generator
     bits = layout.bits
     while True:
-        run = _layout(order, layout.arity, bits)
+        run = _layout(layout.name, layout.arity, bits)
         try:
             packed = [g if run is layout else _repack(g, layout, run) for g in seed]
             # deterministic seed order: by leading monomial, then size
@@ -254,23 +255,22 @@ def groebner_terms(generators: list[dict], order, layout: _Layout) -> tuple:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis; unique for a given (ideal, order)."""
+    """A reduced grevlex Groebner basis; unique for a given ideal."""
 
-    order: MonomialOrder
     elements: tuple[Poly, ...]
     _packed: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def leading_monomials(self):
-        """The leading exponent tuples of the elements under the order."""
-        return [g.leading(self.order)[0] for g in self.elements]
+        """The leading exponent tuples of the elements."""
+        return [g.leading()[0] for g in self.elements]
 
     def _entries(self, arity: int, bits: int) -> tuple:
-        """(layout, basis entries) at a field width of at least ``bits``;
-        raises ``_Overflow`` when an element does not fit that width."""
+        """(layout, basis entries) at a field width of at least ``bits``
+        that holds every element."""
         if self._packed is not None and self._packed[0].bits >= bits:
             return self._packed
         bits = max([bits] + [g.layout.bits for g in self.elements])
-        layout = _layout(self.order, arity, bits)
+        layout = _layout(GREVLEX, arity, bits)
         entries = [_entry(g.num if g.layout is layout else _repack(g.num, g.layout, layout),
                           layout)
                    for g in self.elements]
@@ -282,14 +282,14 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal of Q[x0..xn] with cached reduced Groebner bases.
+    """An ideal of Q[x0..xn] with its cached reduced grevlex basis.
 
     Every ideal arising from a foliation instance is homogeneous; the class
     does not insist on it, because the radical-membership machinery builds
     non-homogeneous ideals internally.
     """
 
-    __slots__ = ("arity", "generators", "_cache")
+    __slots__ = ("arity", "generators", "_gb")
 
     def __init__(self, arity: int, generators=()):
         self.arity = arity
@@ -301,7 +301,7 @@ class Ideal:
                 raise ValueError(f"generator arity {g.arity} does not match ideal arity {arity}")
         # distinct nonzero generators, in order
         self.generators = tuple(dict.fromkeys(g for g in generators if not g.is_zero))
-        self._cache = {}
+        self._gb = None
 
     @staticmethod
     def unit(arity: int) -> "Ideal":
@@ -311,17 +311,15 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-        gb = self._cache.get(order)
-        if gb is None:
+    def groebner_basis(self) -> GroebnerBasis:
+        if self._gb is None:
             elements = ()
             if self.generators:
                 layout, nums = _aligned(self.generators)
-                run, basis = groebner_terms(nums, order, layout)
-                elements = tuple(_from_packed(run, num, den) for num, den in basis)
-            gb = GroebnerBasis(order, elements)
-            self._cache[order] = gb
-        return gb
+                run, basis = groebner_terms(nums, layout)
+                elements = tuple(_make(run, num, den) for num, den in basis)
+            self._gb = GroebnerBasis(elements)
+        return self._gb
 
     @property
     def is_unit(self) -> bool:
@@ -350,17 +348,14 @@ def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
     """Remainder of ``p`` on division by ``basis``; zero iff p lies in the ideal."""
     if p.is_zero or not basis.elements:
         return p
-    bits = p.layout.bits
-    while True:
-        try:
-            layout, entries = basis._entries(p.arity, bits)
-            num = p.num if layout is p.layout else _repack(p.num, p.layout, layout)
-            rem, scale = _reduce(num, entries, layout)
-            break
-        except _Overflow:
-            packed = basis._packed
-            bits = 2 * max(bits, packed[0].bits if packed else 0)
-    return _from_packed(layout, rem, p.den * scale)
+    # No overflow, so no retry: grevlex is graded, so a reduction step only
+    # brings in monomials of at most the degree of the one it removes, and no
+    # field of a monomial (nor of ``shift + top`` in ``_reduce``) exceeds
+    # that degree; every field stays within deg p, which the width of p holds.
+    layout, entries = basis._entries(p.arity, p.layout.bits)
+    num = p.num if layout is p.layout else _repack(p.num, p.layout, layout)
+    rem, scale = _reduce(num, entries, layout)
+    return _make(layout, rem, p.den * scale)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -372,9 +367,9 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """Set-theoretic intersection, by eliminating t from t*I + (1-t)*J.
 
-    t is the first variable of Block(1), whose t-free monomials pack exactly
-    as grevlex on the other variables, so t*g adds the packed t and the
-    t-free part of the result needs no conversion.
+    t is the first variable of an ``ELIMINATION`` layout, whose t-free
+    monomials pack exactly as grevlex on the other variables, so t*g adds
+    the packed t and the t-free part of the result needs no conversion.
     """
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
@@ -382,12 +377,12 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(I.arity)
     arity = I.arity
     layout, nums = _aligned(I.generators + J.generators)
-    block = _layout(Block(1), arity + 1, layout.bits)
+    block = _layout(ELIMINATION, arity + 1, layout.bits)
     t = block.weights[0]
     gens = [{m + t: c for m, c in g.items()} for g in nums[:len(I.generators)]]
     # (1-t)*g: the halves g and -t*g share no monomial
     gens += [{**g, **{m + t: -c for m, c in g.items()}} for g in nums[len(I.generators):]]
-    run, eliminated = groebner_terms(gens, Block(1), block)
+    run, eliminated = groebner_terms(gens, block)
     # the t-free part of a Groebner basis under the elimination order is a
     # Groebner basis of the intersection
     rest = _layout(GREVLEX, arity, run.bits)
@@ -425,7 +420,8 @@ def radical_membership(f: Poly, I: Ideal) -> bool:
     """Whether f vanishes on the zero locus of I (i.e. f is in the radical).
 
     Decided by testing 1 in I + (1 - t*f) in the ring with one extra
-    variable; a cheap plain-membership test short-circuits the common case.
+    variable t, packed as in ``ideal_intersection``; a cheap plain-membership
+    test short-circuits the common case.
     """
     if f.is_zero:
         raise ValueError("radical membership of the zero polynomial")
@@ -434,16 +430,11 @@ def radical_membership(f: Poly, I: Ideal) -> bool:
     if I.is_zero:
         return False
     layout, nums = _aligned(I.generators + (f,))
-    if f.total_degree() >= layout.cap:  # t*f needs a wider degree field
-        wide = _layout(GREVLEX, I.arity, 2 * layout.bits)
-        layout, nums = wide, [_repack(g, layout, wide) for g in nums]
-    # grevlex with t first: shifting by one field makes room for t's field
-    extended = _layout(GREVLEX, I.arity + 1, layout.bits)
-    gens = [{m << (layout.bits + 1): c for m, c in g.items()} for g in nums]
+    block = _layout(ELIMINATION, I.arity + 1, layout.bits)
+    t = block.weights[0]
     # den*(1 - t*f): the halves den and -t*num share no monomial
-    t = extended.weights[0]
-    gens[-1] = {0: f.den, **{m + t: -c for m, c in gens[-1].items()}}
-    _, gb = groebner_terms(gens, GREVLEX, extended)
+    nums[-1] = {0: f.den, **{m + t: -c for m, c in nums[-1].items()}}
+    _, gb = groebner_terms(nums, block)
     return len(gb) == 1 and not max(gb[0][0])
 
 
@@ -454,7 +445,7 @@ def krull_dimension(I: Ideal) -> int:
     ideal: the dimension equals the size of the largest set of variables
     containing the support of no leading monomial.
     """
-    gb = I.groebner_basis(GREVLEX)
+    gb = I.groebner_basis()
     supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()]
     if any(not s for s in supports):
         return -1  # a constant leading term: the unit ideal
@@ -476,7 +467,7 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Exact ideal equality: identical reduced grevlex bases."""
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
-    return I.groebner_basis(GREVLEX).elements == J.groebner_basis(GREVLEX).elements
+    return I.groebner_basis().elements == J.groebner_basis().elements
 
 
 def module_annihilator(components, I: Ideal) -> Ideal:
@@ -490,7 +481,7 @@ def module_annihilator(components, I: Ideal) -> Ideal:
     With ``acc`` the whole ring that is the test b in I, so a vector whose
     components all lie in I has the whole ring as its annihilator.
     """
-    gb = I.groebner_basis(GREVLEX)
+    gb = I.groebner_basis()
     whole = acc = Ideal.unit(I.arity)
     for b in components:
         if all(normal_form(h * b, gb).is_zero for h in acc.generators):

@@ -15,14 +15,14 @@ Exponent tuples and ``Fraction`` coefficients belong to the edge API only:
 the ``Poly(arity, {tuple: rational})`` constructor, the ``terms`` view and
 the parser / printer for expressions in ``x0..xn``, integer and ``a/b``
 rational literals, ``+ - * / ^`` and parentheses.  The module also names
-the three monomial orders: grevlex, lex, and a block order for elimination.
+the two monomial orders: grevlex, and the elimination order of one
+variable that the Groebner engine runs internally.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -33,45 +33,17 @@ _BITS = 7  # value bits of a field at the narrowest width; wider ones double it
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# monomial orders and packed monomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrevLex:
-    """Graded reverse lexicographic order with x0 > x1 > ... > xn."""
+# The two monomial orders, by the names their layouts carry.  Grevlex with
+# x0 > x1 > ... > xn is the order of every Poly and of every ideal.  The
+# Groebner engine alone uses the elimination order of one variable t, the
+# first: t's exponent is compared first, then grevlex on the rest, so any
+# monomial involving t is larger than any monomial free of it.
+GREVLEX = "grevlex"
+ELIMINATION = "block(1)"
 
-    name = "grevlex"
-
-
-@dataclass(frozen=True)
-class Lex:
-    """Lexicographic order with x0 > x1 > ... > xn."""
-
-    name = "lex"
-
-
-@dataclass(frozen=True)
-class Block:
-    """Elimination order: grevlex on the first ``prefix`` variables, then
-    grevlex on the rest.  Any monomial involving a prefix variable is larger
-    than any monomial free of them, so the prefix block is eliminated."""
-
-    prefix: int
-
-    @property
-    def name(self):
-        return f"block({self.prefix})"
-
-
-GREVLEX = GrevLex()
-LEX = Lex()
-
-MonomialOrder = GrevLex | Lex | Block
-
-
-# ---------------------------------------------------------------------------
-# packed monomials
-# ---------------------------------------------------------------------------
 
 class _Overflow(Exception):
     """A packed exponent or degree would not fit below its guard bit."""
@@ -80,49 +52,33 @@ class _Overflow(Exception):
 class _Layout:
     """Packing of the exponent vectors of one (order, arity) into ints.
 
-    Fields run from the most significant down.  Lex has one field per
-    variable, x0 first.  Each grevlex block (the whole ring for grevlex; the
-    prefix and the rest for ``Block``) has its degree field first and then
-    its variables from the last to the first; only a one-variable prefix
-    drops its degree field, so the t-free monomials of ``Block(1)`` pack
-    exactly as grevlex on the other variables.  Variable fields after a
-    degree field are compared in reverse, so ``flip`` holds their value
-    bits, and ``p ^ flip`` is the order key.  Every field holds values up to
-    ``cap`` below a clear guard bit.
+    Fields run from the most significant down: t's exponent (``ELIMINATION``
+    only), the total degree of the other variables, then their exponents
+    from the last variable to the first.  So the t-free monomials of an
+    elimination layout pack exactly as grevlex on the other variables.  The
+    exponent fields below the degree field are compared in reverse, so
+    ``flip`` holds their value bits, and ``p ^ flip`` is the order key.
+    Every field holds values up to ``cap`` below a clear guard bit.
     """
 
-    def __init__(self, order, arity: int, bits: int):
-        # (variables, kind): "deg" sums its variables, "rev" compares in reverse
-        if isinstance(order, Lex):
-            fields = [((i,), "var") for i in range(arity)]
-        else:
-            cut = order.prefix if isinstance(order, Block) else 0
-            fields = []
-            for k, block in enumerate((range(cut), range(cut, arity))):
-                if k == 0 and len(block) == 1:
-                    fields.append(((0,), "var"))  # its degree is its exponent
-                elif block:
-                    fields.append((tuple(block), "deg"))
-                    fields += [((i,), "rev") for i in reversed(block)]
-        self.order = order
+    def __init__(self, order: str, arity: int, bits: int):
+        self.name = order
         self.arity = arity
         self.bits = bits
         self.cap = cap = (1 << bits) - 1
-        placed = [(field, (bits + 1) * k) for k, field in enumerate(reversed(fields))]
-        # packing is linear: an exponent adds to its own field and its degree field
-        self.weights = [0] * arity
-        self.shifts = [0] * arity
-        for (variables, kind), s in placed:
-            for i in variables:
-                self.weights[i] += 1 << s
-            if kind != "deg":
-                self.shifts[variables[0]] = s
-        self.guard = sum(1 << (s + bits) for _, s in placed)
-        self.flip = sum(cap << s for (_, kind), s in placed if kind == "rev")
+        t = int(order == ELIMINATION)
+        step = bits + 1
+        # variable i >= t at step*(i - t), their degree above, t's exponent on top
+        self.degshift = degshift = step * (arity - t)
+        self.shifts = [degshift + step] * t + [step * k for k in range(arity - t)]
+        # packing is linear: an exponent adds to its own field and the degree field
+        self.weights = [1 << s for s in self.shifts[:t]]
+        self.weights += [(1 << s) + (1 << degshift) for s in self.shifts[t:]]
+        self.guard = sum(1 << (s + bits) for s in self.shifts + [degshift])
+        self.flip = sum(cap << s for s in self.shifts[t:])
         self.rev = ~self.flip  # p ^ rev decreases as the monomial grows
         # grevlex: a packed monomial below ``bound`` has degree at most cap
-        self.degshift = placed[-1][1]
-        self.bound = 1 << (self.degshift + bits)
+        self.bound = 1 << (degshift + bits)
 
     def pack(self, exps) -> int:
         """Packed monomial; the total degree bounds every field."""
@@ -146,7 +102,7 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(order, arity: int, bits: int) -> _Layout:
+def _layout(order: str, arity: int, bits: int) -> _Layout:
     return _Layout(order, arity, bits)
 
 
@@ -184,14 +140,6 @@ def _make(layout: _Layout, num: dict, den: int = 1) -> "Poly":
     out = object.__new__(Poly)
     out.arity, out.layout, out.num, out.den = layout.arity, layout, num, den
     return out
-
-
-def _from_packed(layout: _Layout, num: dict, den: int = 1) -> "Poly":
-    """The polynomial num/den packed by any layout, as a canonical Poly."""
-    if layout.order != GREVLEX:  # an upper bound on the degree; _make narrows
-        grevlex = _layout(GREVLEX, layout.arity, _width(layout.arity * layout.cap))
-        num, layout = _repack(num, layout, grevlex), grevlex
-    return _make(layout, num, den)
 
 
 def _aligned(polys) -> tuple:
@@ -294,24 +242,13 @@ class Poly:
             return Fraction(self.num.get(0, 0), self.den)
         return None
 
-    def _packed_for(self, order) -> tuple:
-        """(layout, numerators) of this polynomial packed for ``order``."""
-        layout = _layout(order, self.arity, self.layout.bits)
-        return layout, self.num if layout is self.layout else _repack(self.num, self.layout, layout)
-
-    def sorted_terms(self, order: MonomialOrder = GREVLEX):
-        """(exponent tuple, coefficient) pairs, the largest monomial first."""
-        layout, num = self._packed_for(order)
-        return [(layout.unpack(m), Fraction(num[m], self.den))
-                for m in sorted(num, key=layout.flip.__xor__, reverse=True)]
-
-    def leading(self, order: MonomialOrder = GREVLEX):
-        """Leading (monomial, coefficient) pair under ``order``."""
+    def leading(self):
+        """Leading (exponent tuple, coefficient) pair under grevlex."""
         if not self.num:
             raise ValueError("the zero polynomial has no leading term")
-        layout, num = self._packed_for(order)
-        m = max(num, key=layout.flip.__xor__)
-        return layout.unpack(m), Fraction(num[m], self.den)
+        layout = self.layout
+        m = max(self.num, key=layout.flip.__xor__)
+        return layout.unpack(m), Fraction(self.num[m], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -496,6 +433,11 @@ class PolyParseError(ValueError):
     """Raised on malformed polynomial expressions."""
 
 
+# Parentheses and unary signs nest at most this deep; each level costs the
+# recursive-descent parser a few Python frames, so the bound keeps a deep
+# expression a parse error instead of a RecursionError.
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
 
 
@@ -523,6 +465,7 @@ class _Parser:
     def __init__(self, tokens, arity, names):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.arity = arity
         if names is None:
             self.var_index = {f"x{i}": i for i in range(arity)}
@@ -538,6 +481,15 @@ class _Parser:
         tok = self.peek()
         self.pos += 1
         return tok
+
+    def nested(self, parse):
+        """``parse()`` one level of nesting deeper."""
+        if self.depth == _MAX_DEPTH:
+            raise PolyParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self) -> Poly:
         poly = self.expression()
@@ -579,7 +531,7 @@ class _Parser:
         kind, op = self.peek()
         if kind == "op" and op in "+-":
             self.take()
-            value = self.unary()
+            value = self.nested(self.unary)
             return value if op == "+" else -value
         return self.power()
 
@@ -607,7 +559,7 @@ class _Parser:
                 raise PolyParseError(f"unknown variable {value!r}")
             return Poly.variable(self.arity, self.var_index[value])
         if kind == "op" and value == "(":
-            inner = self.expression()
+            inner = self.nested(self.expression)
             kind, value = self.take()
             if (kind, value) != ("op", ")"):
                 raise PolyParseError(f"expected ')', got {value!r}")

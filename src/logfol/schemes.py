@@ -52,7 +52,6 @@ from .forms import (
     radial_contraction,
 )
 from .groebner import (
-    GREVLEX,
     Ideal,
     ideal_equal,
     ideal_intersection,
@@ -180,7 +179,7 @@ class CheckResult:
 
 def generator_strings(ideal: Ideal) -> list:
     """The reduced grevlex generators of an ideal, printed."""
-    return [str(g) for g in ideal.groebner_basis(GREVLEX).elements]
+    return [str(g) for g in ideal.groebner_basis().elements]
 
 
 def ideal_block(ideal: Ideal) -> dict:
@@ -248,7 +247,7 @@ def _check_sing(ids: SchemeIdeals) -> CheckResult:
 
 def _check_kupka(ids: SchemeIdeals) -> CheckResult:
     t0 = time.perf_counter()
-    gb = ids.kupka.groebner_basis(GREVLEX)
+    gb = ids.kupka.groebner_basis()
     contained = all(normal_form(g, gb).is_zero for g in ids.singular.generators)
     details = ideal_block(ids.kupka)
     details["contains_singular_ideal"] = contained
@@ -258,7 +257,7 @@ def _check_kupka(ids: SchemeIdeals) -> CheckResult:
 
 def _check_persistent(ids: SchemeIdeals) -> CheckResult:
     t0 = time.perf_counter()
-    gb = ids.persistent_cap.groebner_basis(GREVLEX)
+    gb = ids.persistent_cap.groebner_basis()
     included = all(normal_form(g, gb).is_zero for g in ids.persistent_sum.generators)
     details = {
         "sum": ideal_block(ids.persistent_sum),

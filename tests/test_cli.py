@@ -61,6 +61,12 @@ MALFORMED_SPECS = {
                               "'variables' must list 3 distinct names"),
     "n-below-two": (dict(GOOD_SPEC, n=-1, divisors=["1"], residue_matrix=[[1]]),
                     "ambient projective dimension must be at least 2"),
+    "q-a-boolean": (dict(GOOD_SPEC, q=True), "'n' and 'q' must be integers"),
+    "divisor-200-parentheses-deep": (
+        dict(GOOD_SPEC, divisors=["x0", "(" * 200 + "x1" + ")" * 200, "x2"]),
+        "divisor 2: expression nested deeper than"),
+    "divisor-5000-signs-deep": (dict(GOOD_SPEC, divisors=["x0", "x1", "-" * 5000 + "x2"]),
+                                "divisor 3: expression nested deeper than"),
 }
 
 
@@ -100,15 +106,25 @@ def test_bad_json_exits_one(tmp_path, capsys):
     folder = tmp_path / "x.json"
     folder.mkdir()
     assert main(["verify", str(folder)]) == EXIT_IO
-    capsys.readouterr()
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["check", str(deep)]) == EXIT_IO
+    assert "nests JSON too deeply" in capsys.readouterr().err
     for label, (payload, message) in MALFORMED_SPECS.items():
         assert main(["check", write_spec(tmp_path / f"{label}.json", payload)]) == EXIT_IO
         assert message in capsys.readouterr().err, label
 
 
-def test_bad_polynomial_exits_one(tmp_path):
+def test_bad_polynomial_exits_one(tmp_path, capsys):
     payload = dict(GOOD_SPEC, divisors=["x0 +", "x1", "x2"])
     assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
+    for label in ("divisor-200-parentheses-deep", "divisor-5000-signs-deep"):
+        payload, message = MALFORMED_SPECS[label]
+        assert main(["verify", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
+        assert f"error: {message}" in capsys.readouterr().err
+    # 50 levels of parentheses still parse
+    payload = dict(GOOD_SPEC, divisors=["x0", "(" * 50 + "x1" + ")" * 50, "x2"])
+    assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_OK
 
 
 def test_schema_violation_exits_one(tmp_path):
@@ -424,6 +440,7 @@ def test_batch_directory_flags_failures(tmp_path, capsys):
     # applies to the parsed documents
     (specs / "latin1.json").write_bytes(b'{"n": 2, "name": "caf\xe9"}')
     (specs / "x.json").mkdir()
+    (specs / "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     write_spec(specs / "list.json", [1, 2])
     for label, payload in ZERO_FORM_SPECS.items():
         write_spec(specs / f"{label}.json", payload)
@@ -434,7 +451,7 @@ def test_batch_directory_flags_failures(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert {r["name"]: r["verdict"] for r in summary["results"]} == {
         "bad.json": "precondition-failed", "cancelling.json": "validation-failed",
-        "good.json": "pass", "latin1.json": "error", "list.json": "error",
+        "deep.json": "error", "good.json": "pass", "latin1.json": "error", "list.json": "error",
         "x.json": "error", "zero-lambdas.json": "validation-failed",
         **{f"{label}.json": "error" for label in MALFORMED_SPECS}}
     errors = {r["name"]: r["error"] for r in summary["reports"] if r["verdict"] == "error"}

@@ -21,7 +21,7 @@ from logfol.groebner import (
     projective_dimension,
     radical_membership,
 )
-from logfol.poly import GREVLEX, LEX, Block, Poly, parse_poly
+from logfol.poly import ELIMINATION, Poly, _layout, _repack, parse_poly
 
 from conftest import (
     P,
@@ -90,6 +90,7 @@ def test_reduced_basis_unique_under_regeneration():
             max(0, mixed[a].total_degree() - mixed[b].total_degree())) * mixed[b]
         J = Ideal(3, mixed + [base[a]])
         assert J.groebner_basis().elements == reference
+    assert I.groebner_basis() is I.groebner_basis()  # computed once per ideal
 
 
 def test_reducedness_property():
@@ -99,7 +100,7 @@ def test_reducedness_property():
     from conftest import mono_divides
     leads = gb.leading_monomials()
     for i, g in enumerate(gb.elements):
-        _, lc = g.leading(GREVLEX)
+        _, lc = g.leading()
         assert lc == 1
         for mono in g.terms:
             for j, lm in enumerate(leads):
@@ -108,25 +109,13 @@ def test_reducedness_property():
                 assert not mono_divides(lm, mono)
 
 
-def test_cache_entries_generate_same_ideal():
-    I = Ideal(3, [P("x0^2 - x1*x2", 3), P("x1^2 - x0*x2", 3)])
-    gb_grevlex = I.groebner_basis(GREVLEX)
-    gb_lex = I.groebner_basis(LEX)
-    assert set(I._cache) == {GREVLEX, LEX}
-    # mutual normal-form reduction: each basis generates the other
-    for g in gb_lex.elements:
-        assert normal_form(g, gb_grevlex).is_zero
-    for g in gb_grevlex.elements:
-        assert normal_form(g, gb_lex).is_zero
-
-
 # -- normal forms -----------------------------------------------------------------
 
 def test_normal_form_examples():
     G = Ideal(2, [P("x0", 2)]).groebner_basis()
     assert normal_form(P("x0*x1", 2), G).is_zero
     assert normal_form(P("x1^2", 2), G) == P("x1^2", 2)
-    G2 = GroebnerBasis(LEX, (P("x0 - x1", 2),))
+    G2 = GroebnerBasis((P("x0 - x1", 2),))
     assert normal_form(P("x0^2 + x1", 2), G2) == P("x1^2 + x1", 2)
 
 
@@ -436,7 +425,8 @@ def _sympy_terms(p):
 
 
 def _sympy_block1(sympy):
-    """SymPy's spelling of Block(1): grevlex on x0, then grevlex on the rest."""
+    """SymPy's spelling of the elimination order of x0 (the engine's
+    ``block(1)``): grevlex on x0, then grevlex on the rest."""
     from sympy.polys.orderings import ProductOrder, grevlex
     return ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))
 
@@ -453,6 +443,26 @@ def _sympy_reduced_basis(sympy, gens, arity, order):
     return out
 
 
+def _with_t(g):
+    """``g`` in the ring with a new first variable t."""
+    return Poly(g.arity + 1, {(0,) + m: c for m, c in g.terms.items()})
+
+
+def _engine_terms(run, basis):
+    """A ``groebner_terms`` result as term sets."""
+    return {frozenset((run.unpack(m), Fraction(c, den)) for m, c in num.items())
+            for num, den in basis}
+
+
+def _block1_basis(gens, arity):
+    """(term sets, input layout, run layout) of the engine's reduced basis of
+    ``gens`` under the elimination order of x0."""
+    layout = _layout(ELIMINATION, arity, max(g.layout.bits for g in gens))
+    run, basis = groebner.groebner_terms([_repack(g.num, g.layout, layout) for g in gens],
+                                         layout)
+    return _engine_terms(run, basis), layout, run
+
+
 def test_reduced_bases_match_sympy():
     """Non-homogeneous ideals reach S-polynomial tails the monomial oracles miss."""
     sympy = pytest.importorskip("sympy")
@@ -463,16 +473,15 @@ def test_reduced_bases_match_sympy():
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        I = Ideal(arity, gens)
-        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
-            engine = {frozenset(g.terms.items()) for g in I.groebner_basis(order).elements}
-            assert engine == _sympy_reduced_basis(sympy, gens, arity, name), (gens, name)
+        engine = {frozenset(g.terms.items()) for g in Ideal(arity, gens).groebner_basis().elements}
+        assert engine == _sympy_reduced_basis(sympy, gens, arity, "grevlex"), gens
 
 
 def test_block1_bases_and_normal_forms_match_sympy():
-    """Block(1), the order of every elimination, on ideals shaped like
-    t*I + (1-t)*J and on non-homogeneous ones; then the normal forms of
-    rational polynomials, which are unique modulo a Groebner basis."""
+    """The elimination order of every intersection and radical test, on
+    ideals shaped like t*I + (1-t)*J and on non-homogeneous ones; then the
+    normal forms of rational polynomials modulo the grevlex basis of the
+    same ideal, which are unique modulo a Groebner basis."""
     sympy = pytest.importorskip("sympy")
     order = _sympy_block1(sympy)
     rng = random.Random(5089)
@@ -481,32 +490,75 @@ def test_block1_bases_and_normal_forms_match_sympy():
         rest = arity - 1
         if case % 2:
             t = Poly.variable(arity, 0)
-            lift = lambda g: Poly(arity, {(0,) + m: c for m, c in g.terms.items()})
-            gens = [t * lift(random_homogeneous_poly(rng, rest, rng.randint(1, 2), 3))
+            gens = [t * _with_t(random_homogeneous_poly(rng, rest, rng.randint(1, 2), 3))
                     for _ in range(2)]
-            gens += [(1 - t) * lift(random_homogeneous_poly(rng, rest, 2, 3))
+            gens += [(1 - t) * _with_t(random_homogeneous_poly(rng, rest, 2, 3))
                      for _ in range(rng.randint(1, 2))]
         else:
             gens = [random_poly(rng, arity, 3, 3) for _ in range(rng.randint(2, 3))]
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        gb = Ideal(arity, gens).groebner_basis(Block(1))
-        engine = {frozenset(g.terms.items()) for g in gb.elements}
+        engine, _, _ = _block1_basis(gens, arity)
         assert engine == _sympy_reduced_basis(sympy, gens, arity, order), gens
 
+        gb = Ideal(arity, gens).groebner_basis()
         xs = sympy.symbols(f"x0:{arity}")
         basis = _sympy_polys(sympy, gb.elements, xs)
         for _ in range(2):
             p = random_poly(rng, arity, 4, 5) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
             p = p + Poly.const(arity, Fraction(1, rng.randint(2, 7)))
             _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0], basis,
-                                        *xs, order=order, domain="QQ")
+                                        *xs, order="grevlex", domain="QQ")
             assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected), p
 
 
+def test_radical_membership_matches_sympy(monkeypatch):
+    """The Rabinowitsch test: the engine's reduced basis of I + (1 - t*f)
+    under the elimination order of t is SymPy's, and f is in the radical of
+    I exactly when that basis is {1}.  Plain membership fails in every case,
+    so each one reaches the elimination."""
+    sympy = pytest.importorskip("sympy")
+    runs = []
+    original = groebner.groebner_terms
+
+    def recording(generators, layout):
+        runs.append(original(generators, layout))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner, "groebner_terms", recording)
+    order = _sympy_block1(sympy)
+    rng = random.Random(8209)
+    # deg f = 131 is past the narrowest width: t*f needs t's own field
+    cases = [(Ideal(3, [P("x0^2", 3)]), P("x0*x1^130", 3))]
+    while len(cases) < 17:
+        arity = rng.randint(2, 3)
+        homogeneous = len(cases) % 2
+        if homogeneous:
+            a, b, c = (random_homogeneous_poly(rng, arity, d, 3) for d in (2, 1, 1))
+        else:
+            a, b, c = (random_poly(rng, arity, 2, 3) for _ in range(3))
+        # a + c*b lies in the radical of (a^2, b); a form of degree 2 need not
+        f = a + c * b if len(cases) % 4 < 2 else random_homogeneous_poly(rng, arity, 2, 3)
+        I = Ideal(arity, [a * a, b])
+        if not f.is_zero and not I.is_zero and not I.contains(f):
+            cases.append((I, f))
+    answers = []
+    for I, f in cases:
+        answers.append(radical_membership(f, I))
+        run, basis = runs[-1]
+        assert run.name == ELIMINATION
+        arity = I.arity + 1
+        gens = [_with_t(g) for g in I.generators]
+        gens.append(1 - Poly.variable(arity, 0) * _with_t(f))
+        expected = _sympy_reduced_basis(sympy, gens, arity, order)
+        assert _engine_terms(run, basis) == expected, (I, f)
+        assert answers[-1] == (expected == {frozenset({((0,) * arity, 1)})}), (I, f)
+    assert answers[0] and True in answers[1:] and False in answers[1:]
+
+
 def test_exponents_beyond_a_fixed_field_width_match_sympy():
-    """Exponents above 4096 in the input, and lex bases whose exponents
+    """Exponents above 4096 in the input, and an elimination whose exponents
     outgrow the width chosen from the input degrees."""
     sympy = pytest.importorskip("sympy")
     # x -> x^2500 maps a grevlex Groebner basis to one, with every step alike
@@ -514,7 +566,7 @@ def test_exponents_beyond_a_fixed_field_width_match_sympy():
     gens = [Poly(3, {tuple(2500 * e for e in m): c for m, c in P(s, 3).terms.items()})
             for s in small]
     assert max(g.total_degree() for g in gens) == 7500
-    gb = Ideal(3, gens).groebner_basis(GREVLEX)
+    gb = Ideal(3, gens).groebner_basis()
     engine = {frozenset(g.terms.items()) for g in gb.elements}
     assert engine == _sympy_reduced_basis(sympy, gens, 3, "grevlex")
     xs = sympy.symbols("x0:3")
@@ -524,17 +576,10 @@ def test_exponents_beyond_a_fixed_field_width_match_sympy():
                                 order="grevlex", domain="QQ")
     assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected)
 
-    # lex: x0 - x1^100 turns x0^50 into x1^5000, far past the input degree
+    # elimination of t = x0: t - x1^100 turns t^50 into x1^5000, so the run
+    # starts again wider than the input's width
     gens = [P("x0 - x1^100", 3), P("x0^50 - 2*x2", 3)]
-    gb = Ideal(3, gens).groebner_basis(LEX)
-    engine = {frozenset(g.terms.items()) for g in gb.elements}
-    assert engine == _sympy_reduced_basis(sympy, gens, 3, "lex")
-    assert max(g.total_degree() for g in gb.elements) == 5000
-    # a normal form whose exponents outgrow its basis and its input
-    G = GroebnerBasis(LEX, (P("x0 - x1^100", 3),))
-    assert normal_form(P("x0^10*x2 + x0 - 1/2", 3), G) == P("x1^1000*x2 + x1^100 - 1/2", 3)
-    p = P("x0^70*x2 + x0^3 - 1/2", 3)
-    _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0],
-                                _sympy_polys(sympy, gb.elements, xs), *xs,
-                                order="lex", domain="QQ")
-    assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected)
+    engine, layout, run = _block1_basis(gens, 3)
+    assert run.bits > layout.bits
+    assert engine == _sympy_reduced_basis(sympy, gens, 3, _sympy_block1(sympy))
+    assert max(sum(m) for g in engine for m, _ in g) == 5000

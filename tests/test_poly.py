@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logfol.poly import (
+    ELIMINATION,
     GREVLEX,
-    LEX,
-    Block,
     Poly,
     PolyParseError,
     _layout,
@@ -57,6 +58,17 @@ def test_parse_errors(text):
         parse_poly(text, 2)
 
 
+def test_deep_nesting_is_a_parse_error():
+    for depth in (200, 5000):
+        with pytest.raises(PolyParseError, match="nested deeper"):
+            parse_poly("(" * depth + "x0" + ")" * depth, 2)
+        with pytest.raises(PolyParseError, match="nested deeper"):
+            parse_poly("-" * depth + "x0", 2)
+    assert parse_poly("(" * 50 + "x0 - x1" + ")" * 50, 2) == P("x0 - x1", 2)
+    assert parse_poly("-(" * 25 + "x1" + ")" * 25, 2) == -P("x1", 2)
+    assert parse_poly("-" * 50 + "x0", 2) == P("x0", 2)
+
+
 def test_parse_custom_names():
     p = parse_poly("u*v - w^2", 3, names=["u", "v", "w"])
     assert p == P("x0*x1 - x2^2", 3)
@@ -70,6 +82,7 @@ def test_print_parse_roundtrip_random():
         p = random_poly(rng, rng.randint(1, 4), 4, terms=5)
         assert parse_poly(poly_to_str(p), p.arity) == p
     assert poly_to_str(Poly.zero(3)) == "0"
+    assert poly_to_str(P("x0 + x1^2 + 1", 2)) == "x1^2 + x0 + 1"  # decreasing grevlex
 
 
 # -- ring operations ----------------------------------------------------------
@@ -181,17 +194,12 @@ def test_grevlex_order():
     m_x0, m_x1, m_x2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     assert key(m_x0) > key(m_x1) > key(m_x2)
     assert key((0, 1, 1)) > key(m_x0)
-    # classic grevlex vs lex disagreement: x0*x2^2 vs x1^2*x2
+    # where grevlex and lex disagree: x0*x2^2 < x1^2*x2
     assert key((1, 0, 2)) < key((0, 2, 1))
-    assert order_key(LEX, (1, 0, 2)) > order_key(LEX, (0, 2, 1))
-
-
-def test_lex_order():
-    assert order_key(LEX, (1, 0)) > order_key(LEX, (0, 5))
 
 
 def test_block_order_eliminates_prefix():
-    order = Block(1)
+    order = ELIMINATION
     # anything with t (variable 0) beats anything without
     assert order_key(order, (1, 0, 0)) > order_key(order, (0, 7, 7))
     # within the t-free block it is grevlex
@@ -200,14 +208,27 @@ def test_block_order_eliminates_prefix():
 
 def test_leading_term_respects_order():
     p = P("x0 + x1^2", 2)
-    assert p.leading(GREVLEX)[0] == (0, 2)
-    assert p.leading(LEX)[0] == (1, 0)
+    assert p.leading()[0] == (0, 2)
 
 
-def test_sorted_terms_descending():
-    p = P("x0 + x1^2 + 1", 2)
-    monos = [m for m, _ in p.sorted_terms(GREVLEX)]
-    assert monos == [(0, 2), (1, 0), (0, 0)]
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda arity: st.tuples(
+    st.sampled_from([7, 14, 28]),
+    st.lists(st.integers(0, 9), min_size=arity, max_size=arity),
+    st.integers(0, 9))))
+def test_t_free_elimination_monomials_pack_as_grevlex(case):
+    """``ideal_intersection`` and ``radical_membership`` add t to grevlex
+    monomials without repacking them: this is what makes that sound."""
+    bits, exps, e = case
+    grevlex = _layout(GREVLEX, len(exps), bits)
+    block = _layout(ELIMINATION, len(exps) + 1, bits)
+    p = grevlex.pack(exps)
+    assert block.pack([0] + exps) == p
+    t = block.weights[0]
+    assert block.pack([e] + exps) == p + e * t
+    # t's field is its own and lies above the degree field of the rest
+    assert t == 1 << block.shifts[0] == grevlex.bound << 1
+    assert block.unpack(p + e * t) == (e, *exps)
 
 
 # -- independent oracle: SymPy's polynomials over QQ ------------------------------
