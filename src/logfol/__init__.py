@@ -44,7 +44,6 @@ from .groebner import (
 from .poly import (
     Poly,
     PolyParseError,
-    exact_div,
     parse_poly,
     poly_to_str,
 )

@@ -5,35 +5,39 @@ order) pair-selection strategy and the two classical pair-elimination
 criteria.  Everything else in the module reduces to it:
 
 * membership and normal forms come from the division algorithm,
-* intersections come from elimination of an auxiliary variable ``t``
-  (``t*I + (1-t)*J`` under the elimination order of t),
-* the colon by a polynomial divides the intersection with the principal
-  ideal it generates, and ``module_annihilator`` is the one colon by an
-  ideal: it intersects those colons and skips each one that the
-  intersection so far already lies in,
-* saturation iterates ``module_annihilator`` to a fixed point,
-* radical membership is decided by adjoining ``1 - t*f``, in the same
-  elimination layout,
+* intersections and colons by a polynomial are runs on submodules of the
+  free module R*e1 + R*e0 (Greuel & Pfister, *A Singular Introduction to
+  Commutative Algebra*, module quotients): position over term with
+  e1 > e0 eliminates e1, so the e0 part of the reduced basis is the
+  reduced basis of the answer.  I ∩ J is the e0 part of the submodule
+  generated by f*e1 for f in I and g*(e1 + e0) for g in J, and I : g that
+  of f*e1 for f in I and g*e1 + e0,
+* ``module_annihilator`` is the one colon by an ideal: it intersects the
+  colons by its components and skips each one that the intersection so
+  far already lies in,
+* saturation iterates ``module_annihilator`` to a fixed point, and f lies
+  in the radical of I exactly when I : f^infinity is the unit ideal,
 * Krull dimension is read off the leading-term ideal as the size of the
   largest subset of variables meeting the support of no leading monomial.
 
 Every number is a Python int, and the engine speaks the representation
 of ``Poly`` (see ``poly.py``): integer numerators on monomials packed by a
 ``_Layout``.  ``groebner_terms``, ``normal_form`` and ``GroebnerBasis``
-take and return packed numerators; grevlex runs need no conversion, and an
-elimination puts t in the top field of an ``ELIMINATION`` layout, under
-which the t-free monomials pack exactly as grevlex.  A basis entry is
+take and return packed numerators; grevlex runs need no conversion, and a
+module run puts the position in the top field of an ``ELIMINATION``
+layout, under which the terms at e0 pack exactly as grevlex.  A basis entry is
 ``(lm, lc, tail, top)``, a primitive polynomial with ``lc > 0`` and ``top``
 the fieldwise maximum of its tail.  ``_reduce`` is fraction-free: it scales the work
 polynomial by ``lc/gcd`` before subtracting ``c/gcd`` times a shifted
 entry, and keeps the product of those factors, so that ``remainder /
-scale`` is the exact rational normal form.  x^a divides x^b exactly when
-``(b - a) & guard`` is zero, and one guard-bit test of ``shift + top``
+scale`` is the exact rational normal form.  x^a e_i divides x^b e_j exactly
+when ``(b - a) & divmask`` is zero, S-pairs are formed only of leading
+terms at the same position, and one guard-bit test of ``shift + top``
 before a shifted tail is formed catches any field that would overflow;
 the computation then starts again at twice the field width.
 
-Ideals are homogeneous by construction (intermediate elimination steps are
-not, which is fine for Buchberger).  Every ideal, basis and normal form is
+Ideals are homogeneous by construction (module runs are not, which is fine
+for Buchberger).  Every ideal, basis and normal form is
 grevlex; the reduced basis is cached on the ideal object, so repeated
 queries are cheap.
 """
@@ -56,7 +60,6 @@ from .poly import (
     _make,
     _Overflow,
     _repack,
-    exact_div,
 )
 
 
@@ -87,7 +90,7 @@ def _reduce(terms: dict, basis: list, layout: _Layout) -> tuple:
     popped.  A final term records the scale at that moment and is brought
     to the last scale at the end.
     """
-    guard, rev = layout.guard, layout.rev
+    guard, mask, rev = layout.guard, layout.divmask, layout.rev
     work = dict(terms)
     heap = [m ^ rev for m in work]
     heapify(heap)
@@ -100,7 +103,7 @@ def _reduce(terms: dict, basis: list, layout: _Layout) -> tuple:
             continue
         for lm, lc, tail, top in basis:
             shift = m - lm
-            if shift & guard:
+            if shift & mask:
                 continue
             if (shift + top) & guard:
                 raise _Overflow
@@ -154,12 +157,13 @@ def _spoly(f: tuple, g: tuple, lcm_fg: int, guard: int) -> dict:
 
 
 def _buchberger(seed: list, layout: _Layout):
-    """Reduced basis entries of the ideal of packed integer polynomials, in
-    increasing order of leading monomial, or None for the unit ideal."""
-    flip, guard = layout.flip, layout.guard
+    """Reduced basis entries of the ideal or module of packed integer
+    polynomials, in increasing order of leading monomial, or None when it
+    contains 1 (1*e0 in a module)."""
+    flip, guard, mask = layout.flip, layout.guard, layout.divmask
     basis = []        # entries (lm, lc, tail, top)
     lms = []          # their leading monomials, for divisibility scans
-    exps = []         # and those as exponent tuples, for lcms
+    positions = {}    # position -> indices of the entries whose lm is there
     pairs = []        # heap of (lcm degree, lcm key, i, j)
     pending = set()   # pairs not yet treated, for the chain criterion
 
@@ -169,15 +173,15 @@ def _buchberger(seed: list, layout: _Layout):
         lm = entry[0]
         if not lm:
             return True
-        ex = layout.unpack(lm)
         j = len(basis)
-        for i, ex_i in enumerate(exps):
-            ex_lcm = [max(a, b) for a, b in zip(ex_i, ex)]
-            heappush(pairs, (sum(ex_lcm), layout.pack(ex_lcm) ^ flip, i, j))
+        same = positions.setdefault(lm >> layout.top, [])
+        for i in same:  # S-pairs only of leading terms at the same position
+            lcm_ij, degree = layout.lcm(lms[i], lm)
+            heappush(pairs, (degree, lcm_ij ^ flip, i, j))
             pending.add((i, j))
+        same.append(j)
         basis.append(entry)
         lms.append(lm)
-        exps.append(ex)
         return False
 
     for g in seed:
@@ -190,9 +194,11 @@ def _buchberger(seed: list, layout: _Layout):
         pending.discard((i, j))
         lcm_ij = key ^ flip
         if lcm_ij == lms[i] + lms[j]:
-            continue  # coprime leading terms: S-polynomial reduces to zero
+            # coprime leading terms at e0 (never at e1, where the sum holds
+            # position 2): the S-polynomial reduces to zero
+            continue
         for k, lm_k in enumerate(lms):
-            if k != i and k != j and not (lcm_ij - lm_k) & guard:
+            if k != i and k != j and not (lcm_ij - lm_k) & mask:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -205,7 +211,7 @@ def _buchberger(seed: list, layout: _Layout):
     # minimal basis: drop entries whose leading monomial another one divides
     kept = []
     for entry in sorted(basis, key=lambda e: e[0] ^ flip):
-        if all((entry[0] - k[0]) & guard for k in kept):
+        if all((entry[0] - k[0]) & mask for k in kept):
             kept.append(entry)
 
     # inter-reduce tails; leading monomials are untouched by construction
@@ -219,7 +225,8 @@ def _buchberger(seed: list, layout: _Layout):
 
 def groebner_terms(generators: list[dict], layout: _Layout) -> tuple:
     """Reduced Groebner basis of the ideal generated by packed polynomials,
-    under the order of ``layout`` (named by ``layout.name``).
+    under the order of ``layout`` (named by ``layout.name``); under
+    ``ELIMINATION``, of the submodule of R*e1 + R*e0 they generate.
 
     ``generators`` map monomials packed by ``layout`` to integers; a
     generator stands for any nonzero rational multiple of itself.  Returns
@@ -228,7 +235,8 @@ def groebner_terms(generators: list[dict], layout: _Layout) -> tuple:
     overflowed), and ``elements`` are the monic, fully inter-reduced basis
     polynomials as ``(numerators, denominator)`` pairs packed by ``run``,
     sorted by decreasing leading monomial; the result is canonical for
-    (ideal, order).
+    (ideal, order).  When the span holds 1 (1*e0 for a module), the basis
+    is returned as that one element.
     """
     seed = [g for g in generators if g]
     if any(len(g) == 1 and 0 in g for g in seed):
@@ -285,8 +293,7 @@ class Ideal:
     """An ideal of Q[x0..xn] with its cached reduced grevlex basis.
 
     Every ideal arising from a foliation instance is homogeneous; the class
-    does not insist on it, because the radical-membership machinery builds
-    non-homogeneous ideals internally.
+    does not insist on it.
     """
 
     __slots__ = ("arity", "generators", "_gb")
@@ -364,30 +371,39 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.arity, I.generators + J.generators)
 
 
-def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    """Set-theoretic intersection, by eliminating t from t*I + (1-t)*J.
+def _e0_coordinates(arity: int, vectors: list) -> Ideal:
+    """The ideal of the e0 coordinates of the submodule of R*e1 + R*e0
+    generated by ``vectors``, pairs (a, b) standing for a*e1 + b*e0, with
+    its reduced basis cached: the e0 part of the module's reduced basis.
 
-    t is the first variable of an ``ELIMINATION`` layout, whose t-free
-    monomials pack exactly as grevlex on the other variables, so t*g adds
-    the packed t and the t-free part of the result needs no conversion.
+    The terms at e0 of an ``ELIMINATION`` layout pack exactly as grevlex,
+    and e1 adds the top field's weight, so no monomial is converted.
     """
+    layout, nums = _aligned([p for v in vectors for p in v])
+    block = _layout(ELIMINATION, arity + 1, layout.bits)
+    e1 = block.weights[0]
+    # (a*b.den)*e1 + (b*a.den)*e0, a multiple of a*e1 + b*e0 with integer terms
+    gens = [{**{m + e1: c * b.den for m, c in na.items()},
+             **{m: c * a.den for m, c in nb.items()}}
+            for (a, b), na, nb in zip(vectors, nums[::2], nums[1::2])]
+    run, basis = groebner_terms(gens, block)
+    rest, e1 = _layout(GREVLEX, arity, run.bits), run.weights[0]
+    elements = tuple(_make(rest, num, den) for num, den in basis if max(num) < e1)
+    ideal = Ideal(arity, elements)
+    ideal._gb = GroebnerBasis(elements)
+    return ideal
+
+
+def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
+    """Set-theoretic intersection: the e0 coordinates of the submodule
+    generated by f*e1 for f in I and g*(e1 + e0) for g in J."""
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
     if I.is_zero or J.is_zero:
         return Ideal(I.arity)
-    arity = I.arity
-    layout, nums = _aligned(I.generators + J.generators)
-    block = _layout(ELIMINATION, arity + 1, layout.bits)
-    t = block.weights[0]
-    gens = [{m + t: c for m, c in g.items()} for g in nums[:len(I.generators)]]
-    # (1-t)*g: the halves g and -t*g share no monomial
-    gens += [{**g, **{m + t: -c for m, c in g.items()}} for g in nums[len(I.generators):]]
-    run, eliminated = groebner_terms(gens, block)
-    # the t-free part of a Groebner basis under the elimination order is a
-    # Groebner basis of the intersection
-    rest = _layout(GREVLEX, arity, run.bits)
-    t = run.weights[0]
-    return Ideal(arity, [_make(rest, num, den) for num, den in eliminated if max(num) < t])
+    zero = Poly.zero(I.arity)
+    return _e0_coordinates(I.arity, [(f, zero) for f in I.generators]
+                           + [(g, g) for g in J.generators])
 
 
 def intersect_all(ideals, arity: int) -> Ideal:
@@ -397,11 +413,13 @@ def intersect_all(ideals, arity: int) -> Ideal:
 
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
-    """The colon ideal I : g = {h : h*g in I}."""
+    """The colon ideal I : g = {h : h*g in I}: the e0 coordinates of the
+    submodule generated by f*e1 for f in I and g*e1 + e0."""
     if g.is_zero:
         raise ValueError("colon ideal by the zero polynomial")
-    inter = ideal_intersection(I, Ideal(I.arity, [g]))
-    return Ideal(I.arity, [exact_div(h, g) for h in inter.generators])
+    zero = Poly.zero(I.arity)
+    return _e0_coordinates(I.arity, [(f, zero) for f in I.generators]
+                           + [(g, Poly.one(I.arity))])
 
 
 def ideal_saturation(I: Ideal, J: Ideal) -> Ideal:
@@ -417,25 +435,12 @@ def ideal_saturation(I: Ideal, J: Ideal) -> Ideal:
 
 
 def radical_membership(f: Poly, I: Ideal) -> bool:
-    """Whether f vanishes on the zero locus of I (i.e. f is in the radical).
-
-    Decided by testing 1 in I + (1 - t*f) in the ring with one extra
-    variable t, packed as in ``ideal_intersection``; a cheap plain-membership
-    test short-circuits the common case.
-    """
+    """Whether f vanishes on the zero locus of I (i.e. f is in the radical),
+    that is, whether I : f^infinity is the unit ideal; a cheap
+    plain-membership test short-circuits the common case."""
     if f.is_zero:
         raise ValueError("radical membership of the zero polynomial")
-    if I.contains(f):
-        return True
-    if I.is_zero:
-        return False
-    layout, nums = _aligned(I.generators + (f,))
-    block = _layout(ELIMINATION, I.arity + 1, layout.bits)
-    t = block.weights[0]
-    # den*(1 - t*f): the halves den and -t*num share no monomial
-    nums[-1] = {0: f.den, **{m + t: -c for m, c in nums[-1].items()}}
-    _, gb = groebner_terms(nums, block)
-    return len(gb) == 1 and not max(gb[0][0])
+    return I.contains(f) or ideal_saturation(I, Ideal(I.arity, [f])).is_unit
 
 
 def krull_dimension(I: Ideal) -> int:

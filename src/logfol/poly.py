@@ -15,8 +15,8 @@ Exponent tuples and ``Fraction`` coefficients belong to the edge API only:
 the ``Poly(arity, {tuple: rational})`` constructor, the ``terms`` view and
 the parser / printer for expressions in ``x0..xn``, integer and ``a/b``
 rational literals, ``+ - * / ^`` and parentheses.  The module also names
-the two monomial orders: grevlex, and the elimination order of one
-variable that the Groebner engine runs internally.
+the two monomial orders: grevlex, and the position-over-term order on the
+free module R*e1 + R*e0 that the Groebner engine runs internally.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 _ONE = Fraction(1)
 
@@ -38,9 +37,9 @@ _BITS = 7  # value bits of a field at the narrowest width; wider ones double it
 
 # The two monomial orders, by the names their layouts carry.  Grevlex with
 # x0 > x1 > ... > xn is the order of every Poly and of every ideal.  The
-# Groebner engine alone uses the elimination order of one variable t, the
-# first: t's exponent is compared first, then grevlex on the rest, so any
-# monomial involving t is larger than any monomial free of it.
+# Groebner engine alone uses position over term on R*e1 + R*e0: the
+# position is compared first, with e1 > e0, then grevlex, so any term at e1
+# is larger than any term at e0, and e1 is eliminated.
 GREVLEX = "grevlex"
 ELIMINATION = "block(1)"
 
@@ -52,13 +51,16 @@ class _Overflow(Exception):
 class _Layout:
     """Packing of the exponent vectors of one (order, arity) into ints.
 
-    Fields run from the most significant down: t's exponent (``ELIMINATION``
-    only), the total degree of the other variables, then their exponents
-    from the last variable to the first.  So the t-free monomials of an
-    elimination layout pack exactly as grevlex on the other variables.  The
+    Fields run from the most significant down: the position, 1 for e1 and
+    0 for e0 (``ELIMINATION`` only, where ``arity`` counts it as the first
+    entry of an exponent vector), the total degree of the variables, then
+    their exponents from the last variable to the first.  So the terms at
+    e0 pack exactly as grevlex monomials, and e1 adds ``weights[0]``.  The
     exponent fields below the degree field are compared in reverse, so
     ``flip`` holds their value bits, and ``p ^ flip`` is the order key.
     Every field holds values up to ``cap`` below a clear guard bit.
+    x^a e_i divides x^b e_j exactly when ``(b - a) & divmask`` is zero:
+    ``divmask`` is ``guard`` plus the value bits of the position field.
     """
 
     def __init__(self, order: str, arity: int, bits: int):
@@ -68,13 +70,15 @@ class _Layout:
         self.cap = cap = (1 << bits) - 1
         t = int(order == ELIMINATION)
         step = bits + 1
-        # variable i >= t at step*(i - t), their degree above, t's exponent on top
+        # variable i >= t at step*(i - t), their degree above, the position on top
         self.degshift = degshift = step * (arity - t)
         self.shifts = [degshift + step] * t + [step * k for k in range(arity - t)]
         # packing is linear: an exponent adds to its own field and the degree field
         self.weights = [1 << s for s in self.shifts[:t]]
         self.weights += [(1 << s) + (1 << degshift) for s in self.shifts[t:]]
         self.guard = sum(1 << (s + bits) for s in self.shifts + [degshift])
+        self.divmask = self.guard | sum(cap << s for s in self.shifts[:t])
+        self.top = degshift + step  # lm >> top is the position
         self.flip = sum(cap << s for s in self.shifts[t:])
         self.rev = ~self.flip  # p ^ rev decreases as the monomial grows
         # grevlex: a packed monomial below ``bound`` has degree at most cap
@@ -89,6 +93,20 @@ class _Layout:
     def unpack(self, p: int) -> tuple:
         cap = self.cap
         return tuple([(p >> s) & cap for s in self.shifts])
+
+    def lcm(self, a: int, b: int) -> tuple:
+        """(lcm, its degree) of two packed monomials at the same position:
+        the fieldwise maximum of the exponents, with the degree field summed
+        again.  That sum is at most twice ``cap``, below 2**(bits + 1) - 1,
+        so it is the exponents' packed value modulo 2**(bits + 1) - 1."""
+        guard, bits, top = self.guard, self.bits, self.top
+        ge = ((a | guard) - b) & guard     # guard bit set where a >= b
+        keep = ge - (ge >> bits)           # the value bits of those fields
+        exps = ((a & keep) | (b & ~keep)) & ((1 << self.degshift) - 1)
+        degree = exps % ((2 << bits) - 1)
+        if degree > self.cap:
+            raise _Overflow
+        return (a >> top << top) | (degree << self.degshift) | exps, degree
 
     def fieldmax(self, monomials) -> int:
         """Packed fieldwise maximum (0 for no monomials)."""
@@ -377,54 +395,6 @@ class Poly:
         return f"Poly({poly_to_str(self)!r}, arity={self.arity})"
 
 
-def exact_div(p: Poly, g: Poly) -> Poly:
-    """Quotient p / g when g divides p exactly; raises ValueError otherwise.
-
-    Fraction-free long division of the numerators, scaled as ``_reduce`` in
-    the Groebner engine: ``scale * P = Q * G`` holds at the end.
-    """
-    if g.is_zero:
-        raise ValueError("division by the zero polynomial")
-    g = p._coerce(g)
-    layout, (P, G) = _aligned((p, g))
-    guard, rev = layout.guard, layout.rev
-    lm = max(G, key=layout.flip.__xor__)
-    lc = G[lm]
-    tail = [(m, c) for m, c in G.items() if m != lm]
-    work = dict(P)
-    heap = [m ^ rev for m in work]
-    heapify(heap)
-    quotient = []
-    scale = 1
-    while heap:
-        m = heappop(heap) ^ rev
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        shift = m - lm
-        if shift & guard:
-            raise ValueError("polynomial division is not exact")
-        f = abs(lc) // gcd(c, lc)
-        if f != 1:
-            scale *= f
-            for k in work:
-                work[k] *= f
-        c = c * f // lc
-        quotient.append((shift, c, scale))
-        for tm, tc in tail:
-            nm = tm + shift
-            d = c * tc
-            old = work.get(nm)
-            if old is None:
-                work[nm] = -d
-                heappush(heap, nm ^ rev)
-            elif old == d:
-                del work[nm]
-            else:
-                work[nm] = old - d
-    return _make(layout, {m: c * (scale // s) * g.den for m, c, s in quotient}, scale * p.den)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -437,6 +407,11 @@ class PolyParseError(ValueError):
 # recursive-descent parser a few Python frames, so the bound keeps a deep
 # expression a parse error instead of a RecursionError.
 _MAX_DEPTH = 100
+
+# A power of a T-term base to the k-th has at most C(k+T-1, T-1) terms; a
+# power that could have more than this is a parse error, so that expanding
+# it stays bounded work.
+_MAX_POWER_TERMS = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
 
@@ -545,6 +520,10 @@ class _Parser:
                 raise PolyParseError("exponent must be a non-negative integer")
             if kind != "int":
                 raise PolyParseError(f"expected integer exponent, got {value!r}")
+            terms = len(base.num)
+            if terms > 1 and comb(value + terms - 1, terms - 1) > _MAX_POWER_TERMS:
+                raise PolyParseError(f"a {terms}-term base to the power {value} can expand "
+                                     f"to more than {_MAX_POWER_TERMS} terms")
             return base ** value
         return base
 

@@ -67,6 +67,10 @@ MALFORMED_SPECS = {
         "divisor 2: expression nested deeper than"),
     "divisor-5000-signs-deep": (dict(GOOD_SPEC, divisors=["x0", "x1", "-" * 5000 + "x2"]),
                                 "divisor 3: expression nested deeper than"),
+    "divisor-power-of-23426-terms": (
+        dict(LINEAR_P4_SPEC,
+             divisors=["x0", "(x0+2*x1+3*x2+5*x3)^50"] + LINEAR_P4_SPEC["divisors"][2:]),
+        "divisor 2: a 4-term base to the power 50 can expand to more than 1000 terms"),
 }
 
 
@@ -118,7 +122,8 @@ def test_bad_json_exits_one(tmp_path, capsys):
 def test_bad_polynomial_exits_one(tmp_path, capsys):
     payload = dict(GOOD_SPEC, divisors=["x0 +", "x1", "x2"])
     assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
-    for label in ("divisor-200-parentheses-deep", "divisor-5000-signs-deep"):
+    for label in ("divisor-200-parentheses-deep", "divisor-5000-signs-deep",
+                  "divisor-power-of-23426-terms"):
         payload, message = MALFORMED_SPECS[label]
         assert main(["verify", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
         assert f"error: {message}" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from logfol.groebner import (
     projective_dimension,
     radical_membership,
 )
-from logfol.poly import ELIMINATION, Poly, _layout, _repack, parse_poly
+from logfol.poly import ELIMINATION, Poly, _layout, parse_poly
 
 from conftest import (
     P,
@@ -448,19 +448,43 @@ def _with_t(g):
     return Poly(g.arity + 1, {(0,) + m: c for m, c in g.terms.items()})
 
 
-def _engine_terms(run, basis):
-    """A ``groebner_terms`` result as term sets."""
-    return {frozenset((run.unpack(m), Fraction(c, den)) for m, c in num.items())
-            for num, den in basis}
+def _sympy_eliminated(sympy, I, J):
+    """SymPy's side of I ∩ J: the t-free part of its reduced basis of
+    t*I + (1-t)*J under the elimination order of t, as SymPy polynomials in
+    the variables of I."""
+    arity = I.arity + 1
+    t = Poly.variable(arity, 0)
+    gens = [t * _with_t(f) for f in I.generators]
+    gens += [(1 - t) * _with_t(g) for g in J.generators]
+    xs = sympy.symbols(f"x0:{arity}")
+    basis = sympy.groebner(_sympy_polys(sympy, gens, xs), *xs,
+                           order=_sympy_block1(sympy), domain="QQ")
+    ys = sympy.symbols(f"x0:{I.arity}")
+    return [sympy.Poly.from_dict({m[1:]: c for m, c in p.as_dict().items()}, *ys, domain="QQ")
+            for p in basis.polys if p.degree(xs[0]) <= 0]
 
 
-def _block1_basis(gens, arity):
-    """(term sets, input layout, run layout) of the engine's reduced basis of
-    ``gens`` under the elimination order of x0."""
-    layout = _layout(ELIMINATION, arity, max(g.layout.bits for g in gens))
-    run, basis = groebner.groebner_terms([_repack(g.num, g.layout, layout) for g in gens],
-                                         layout)
-    return _engine_terms(run, basis), layout, run
+def _monic_terms(sympy, polys):
+    """Term sets of SymPy polynomials made monic in grevlex."""
+    return {_sympy_terms(p.quo_ground(p.LC(order="grevlex"))) for p in polys}
+
+
+def _basis_terms(ideal):
+    return {frozenset(g.terms.items()) for g in ideal.groebner_basis().elements}
+
+
+def _recorded_runs(monkeypatch):
+    """A list that records (input layout, run layout) of every engine run."""
+    runs = []
+    original = groebner.groebner_terms
+
+    def recording(generators, layout):
+        result = original(generators, layout)
+        runs.append((layout, result[0]))
+        return result
+
+    monkeypatch.setattr(groebner, "groebner_terms", recording)
+    return runs
 
 
 def test_reduced_bases_match_sympy():
@@ -478,58 +502,118 @@ def test_reduced_bases_match_sympy():
 
 
 def test_block1_bases_and_normal_forms_match_sympy():
-    """The elimination order of every intersection and radical test, on
-    ideals shaped like t*I + (1-t)*J and on non-homogeneous ones; then the
-    normal forms of rational polynomials modulo the grevlex basis of the
-    same ideal, which are unique modulo a Groebner basis."""
+    """Intersections and colons, the ``block(1)`` module runs, against SymPy's
+    elimination of t from t*I + (1-t)*J, on homogeneous and non-homogeneous
+    ideals: I ∩ J is the t-free part of that basis, and M : g the ideal of
+    that part for (M, (g)), divided by g.  Then the normal forms of rational
+    polynomials modulo the cached basis of the intersection, which are
+    unique modulo a Groebner basis."""
     sympy = pytest.importorskip("sympy")
-    order = _sympy_block1(sympy)
     rng = random.Random(5089)
     for case in range(24):
-        arity = rng.randint(3, 4)
-        rest = arity - 1
+        arity = rng.randint(2, 3)
         if case % 2:
-            t = Poly.variable(arity, 0)
-            gens = [t * _with_t(random_homogeneous_poly(rng, rest, rng.randint(1, 2), 3))
-                    for _ in range(2)]
-            gens += [(1 - t) * _with_t(random_homogeneous_poly(rng, rest, 2, 3))
-                     for _ in range(rng.randint(1, 2))]
+            draw = lambda: random_homogeneous_poly(rng, arity, rng.randint(1, 2), 3)
         else:
-            gens = [random_poly(rng, arity, 3, 3) for _ in range(rng.randint(2, 3))]
-        gens = [g for g in gens if not g.is_zero]
-        if not gens:
+            draw = lambda: random_poly(rng, arity, 2, 3)
+        I = Ideal(arity, [draw() for _ in range(rng.randint(1, 2))])
+        J = Ideal(arity, [draw() for _ in range(rng.randint(1, 2))])
+        if I.is_zero or J.is_zero:
             continue
-        engine, _, _ = _block1_basis(gens, arity)
-        assert engine == _sympy_reduced_basis(sympy, gens, arity, order), gens
+        cap = ideal_intersection(I, J)
+        assert _basis_terms(cap) == _monic_terms(sympy, _sympy_eliminated(sympy, I, J)), (I, J)
 
-        gb = Ideal(arity, gens).groebner_basis()
+        # M : g contains I, and most often strictly contains M
+        g, rest = J.generators[0], J.generators[1:]
+        M = Ideal(arity, [f * g for f in I.generators] + list(rest))
         xs = sympy.symbols(f"x0:{arity}")
-        basis = _sympy_polys(sympy, gb.elements, xs)
+        G = _sympy_polys(sympy, [g], xs)[0]
+        quotients = [p.exquo(G) for p in _sympy_eliminated(sympy, M, Ideal(arity, [g]))]
+        expected = sympy.groebner(quotients, *xs, order="grevlex", domain="QQ").polys
+        assert _basis_terms(ideal_quotient(M, g)) == _monic_terms(sympy, expected), (M, g)
+
+        basis = _sympy_polys(sympy, cap.groebner_basis().elements, xs)
         for _ in range(2):
             p = random_poly(rng, arity, 4, 5) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
             p = p + Poly.const(arity, Fraction(1, rng.randint(2, 7)))
             _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0], basis,
                                         *xs, order="grevlex", domain="QQ")
-            assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected), p
+            nf = normal_form(p, cap.groebner_basis())
+            assert frozenset(nf.terms.items()) == _sympy_terms(expected), p
 
 
-def test_radical_membership_matches_sympy(monkeypatch):
-    """The Rabinowitsch test: the engine's reduced basis of I + (1 - t*f)
-    under the elimination order of t is SymPy's, and f is in the radical of
-    I exactly when that basis is {1}.  Plain membership fails in every case,
-    so each one reaches the elimination."""
+def test_module_runs_reduce_and_pair_only_at_one_position():
+    """x0*e0 divides the x-part of the leading term x0*e1 of (x0 + x1)*e1,
+    but neither reduces the other and no S-pair joins them: the seeds are
+    the reduced basis.  At e1, x1*(x0 + x1)*e1 reduces by x1^2*e1 + e0 to
+    x0*x1*e1 - e0, and the S-pair of the two gives (x0 + x1)*e0."""
+    layout = _layout(ELIMINATION, 3, 7)  # (position, x0, x1)
+    m = lambda *exps: layout.pack(exps)
+    _, basis = groebner.groebner_terms([{m(0, 1, 0): 1}, {m(1, 1, 0): 1, m(1, 0, 1): 1}],
+                                       layout)
+    assert basis == [({m(1, 1, 0): 1, m(1, 0, 1): 1}, 1), ({m(0, 1, 0): 1}, 1)]
+    seeds = [{m(1, 1, 1): 1, m(1, 0, 2): 1}, {m(1, 0, 2): 1, m(0, 0, 0): 1}]
+    _, basis = groebner.groebner_terms(seeds, layout)
+    assert basis == [({m(1, 1, 1): 1, m(0, 0, 0): -1}, 1), ({m(1, 0, 2): 1, m(0, 0, 0): 1}, 1),
+                     ({m(0, 1, 0): 1, m(0, 0, 1): 1}, 1)]
+
+
+def test_intersection_and_colon_cache_their_bases(monkeypatch):
+    """The module run's e0 part is the result's reduced basis: asking for
+    it runs the engine no further."""
+    runs = _recorded_runs(monkeypatch)
+    I = Ideal(3, [P("x0^2 - x1*x2", 3), P("x1*x2^2", 3)])
+    J = Ideal(3, [P("x0 + x2", 3)])
+    for compute in (lambda: ideal_intersection(I, J), lambda: ideal_quotient(I, P("x2", 3))):
+        result = compute()
+        assert len(runs) == 1 and runs[0][1].name == ELIMINATION
+        assert result.groebner_basis() is result.groebner_basis()
+        assert len(runs) == 1
+        fresh = Ideal(3, result.generators).groebner_basis()
+        assert result.groebner_basis().elements == fresh.elements
+        runs.clear()
+
+
+def test_non_homogeneous_intersection_matches_sympy():
+    """Two small non-homogeneous ideals whose intersection, as an
+    elimination of t from t*I + (1-t)*J, ran for more than 100 s; the
+    expected basis is SymPy's (t-free part of the product-order basis)."""
+    I = Ideal(3, [P("2*x1^2*x2 + 3*x1*x2^2 + 3*x0*x1", 3), P("x1^2*x2 + 3*x0*x2 - 2", 3),
+                  P("-2*x0*x1^2 - 3*x0*x2^2 + x0*x2", 3)])
+    J = Ideal(3, [P("x0*x1*x2 + 3*x0*x2^2 + 2*x1*x2^2", 3), P("3*x0^2", 3), P("2*x0*x2^2", 3)])
+    assert gens_of(ideal_intersection(I, J)) == sorted([
+        "x1*x2^5 - 1/2*x0^2*x2^2 - 101/9*x0*x2^3 + 3/2*x0^3 + 38/9*x0^2*x1 - 19/3*x0^2*x2"
+        " - 4/9*x0*x1*x2 + 20/27*x0*x2^2 - 8/9*x1*x2^2 - 2/3*x0^2",
+        "x0^2*x2^3 - 17/175*x0^2*x2^2 - 368/1575*x0*x2^3 - 6/175*x0^3 + 152/1575*x0^2*x1"
+        " - 76/525*x0^2*x2 - 1648/4725*x0*x2^2 + 4/35*x0^2",
+        "x1^2*x2^3 + 3/2*x1*x2^4 + 3/2*x0*x2^3 - 3/2*x0^2*x1 - 1/2*x0*x2^2",
+        "x0*x2^4 + 6/5*x0^2*x2^2 - 97/15*x0*x2^3 + 3/5*x0^3 + 38/15*x0^2*x1 - 19/5*x0^2*x2"
+        " + 38/45*x0*x2^2",
+        "x0^4 - 839/55125*x0^2*x2^2 - 3319202/165375*x0*x2^3 + 22/6125*x0^3"
+        " + 1394828/165375*x0^2*x1 - 640714/55125*x0^2*x2 + 1347428/496125*x0*x2^2"
+        " + 988/11025*x0^2",
+        "x0^3*x1 + 281/1050*x0^2*x2^2 + 6679/1575*x0*x2^3 - 39/350*x0^3 - 2656/1575*x0^2*x1"
+        " + 1328/525*x0^2*x2 - 8506/4725*x0*x2^2 - 22/35*x0^2",
+        "x0^2*x1^2 + 3/2*x0^2*x2^2 - 1/2*x0^2*x2",
+        "x0^3*x2 + 62/525*x0^2*x2^2 - 184/1575*x0*x2^3 - 3/175*x0^3 + 76/1575*x0^2*x1"
+        " - 38/525*x0^2*x2 - 824/4725*x0*x2^2 - 64/105*x0^2",
+        "x0^2*x1*x2 + 3/2*x0^2*x2^2 - 15*x0*x2^3 + 3/2*x0^3 + 6*x0^2*x1 - 9*x0^2*x2"
+        " + 2*x0*x2^2",
+        "x0*x1^2*x2 + 2*x1^2*x2^2 + 24*x0*x2^3 + 3*x1*x2^3 - 9*x0^2*x1 + 27/2*x0^2*x2"
+        " - 8*x0*x2^2 - 9/2*x0^2",
+        "x0*x1*x2^2 - x0*x2^3 + x0^2*x1 + 1/3*x0*x2^2",
+    ])
+
+
+def test_radical_membership_matches_sympy():
+    """f is in the radical of I exactly when SymPy's reduced basis of
+    I + (1 - t*f), under the elimination order of t, is {1} (Rabinowitsch).
+    Plain membership fails in every case, so each one reaches the
+    saturation I : f^infinity."""
     sympy = pytest.importorskip("sympy")
-    runs = []
-    original = groebner.groebner_terms
-
-    def recording(generators, layout):
-        runs.append(original(generators, layout))
-        return runs[-1]
-
-    monkeypatch.setattr(groebner, "groebner_terms", recording)
     order = _sympy_block1(sympy)
     rng = random.Random(8209)
-    # deg f = 131 is past the narrowest width: t*f needs t's own field
+    # deg f = 131 is past the narrowest width
     cases = [(Ideal(3, [P("x0^2", 3)]), P("x0*x1^130", 3))]
     while len(cases) < 17:
         arity = rng.randint(2, 3)
@@ -546,19 +630,16 @@ def test_radical_membership_matches_sympy(monkeypatch):
     answers = []
     for I, f in cases:
         answers.append(radical_membership(f, I))
-        run, basis = runs[-1]
-        assert run.name == ELIMINATION
         arity = I.arity + 1
         gens = [_with_t(g) for g in I.generators]
         gens.append(1 - Poly.variable(arity, 0) * _with_t(f))
         expected = _sympy_reduced_basis(sympy, gens, arity, order)
-        assert _engine_terms(run, basis) == expected, (I, f)
         assert answers[-1] == (expected == {frozenset({((0,) * arity, 1)})}), (I, f)
     assert answers[0] and True in answers[1:] and False in answers[1:]
 
 
-def test_exponents_beyond_a_fixed_field_width_match_sympy():
-    """Exponents above 4096 in the input, and an elimination whose exponents
+def test_exponents_beyond_a_fixed_field_width_match_sympy(monkeypatch):
+    """Exponents above 4096 in the input, and a module run whose lcm degrees
     outgrow the width chosen from the input degrees."""
     sympy = pytest.importorskip("sympy")
     # x -> x^2500 maps a grevlex Groebner basis to one, with every step alike
@@ -576,10 +657,12 @@ def test_exponents_beyond_a_fixed_field_width_match_sympy():
                                 order="grevlex", domain="QQ")
     assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected)
 
-    # elimination of t = x0: t - x1^100 turns t^50 into x1^5000, so the run
+    # the lcm x0^50*x1^100 of the leading terms at e1 has degree 150: the run
     # starts again wider than the input's width
-    gens = [P("x0 - x1^100", 3), P("x0^50 - 2*x2", 3)]
-    engine, layout, run = _block1_basis(gens, 3)
+    runs = _recorded_runs(monkeypatch)
+    I, J = Ideal(3, [P("x0 - x1^100", 3)]), Ideal(3, [P("x0^50 - 2*x2", 3)])
+    cap = ideal_intersection(I, J)
+    (layout, run), = runs
     assert run.bits > layout.bits
-    assert engine == _sympy_reduced_basis(sympy, gens, 3, _sympy_block1(sympy))
-    assert max(sum(m) for g in engine for m, _ in g) == 5000
+    assert _basis_terms(cap) == _monic_terms(sympy, _sympy_eliminated(sympy, I, J))
+    assert max(g.total_degree() for g in cap.groebner_basis().elements) == 150
