@@ -28,7 +28,6 @@ from .forms import (
     wedge,
 )
 from .groebner import (
-    GroebnerBasis,
     Ideal,
     ideal_equal,
     ideal_intersection,

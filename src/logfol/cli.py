@@ -68,6 +68,9 @@ class SpecFileError(Exception):
 def _rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SpecFileError(f"{where}: expected an integer or 'a/b' string, got {value!r}")
+    if isinstance(value, str) and "e" in value.lower():
+        # "1e7000000" would stand for a 7-million-digit integer
+        raise SpecFileError(f"{where}: exponent notation is not accepted")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -190,8 +193,8 @@ def load_spec_file(path: str) -> SpecDocument:
             data = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # also an integer literal past Python's digit limit
+        raise SpecFileError(f"{path} cannot be parsed as JSON: {exc}") from None
     except RecursionError:
         raise SpecFileError(f"{path} nests JSON too deeply to read") from None
     return parse_spec_document(data, os.path.basename(path))

@@ -17,13 +17,14 @@ criteria.  Everything else in the module reduces to it:
   far already lies in,
 * saturation iterates ``module_annihilator`` to a fixed point, and f lies
   in the radical of I exactly when I : f^infinity is the unit ideal,
-* Krull dimension is read off the leading-term ideal as the size of the
-  largest subset of variables meeting the support of no leading monomial.
+* Krull dimension is the number of variables less the fewest variables
+  meeting the support of every leading monomial.
 
 Every number is a Python int, and the engine speaks the representation
 of ``Poly`` (see ``poly.py``): integer numerators on monomials packed by a
-``_Layout``.  ``groebner_terms``, ``normal_form`` and ``GroebnerBasis``
-take and return packed numerators; grevlex runs need no conversion, and a
+``_Layout``.  ``groebner_terms`` takes and returns packed numerators, and
+an ``Ideal`` keeps its reduced basis packed as engine entries for
+``normal_form``; grevlex runs need no conversion, and a
 module run puts the position in the top field of an ``ELIMINATION``
 layout, under which the terms at e0 pack exactly as grevlex.  A basis entry is
 ``(lm, lc, tail, top)``, a primitive polynomial with ``lc > 0`` and ``top``
@@ -37,16 +38,12 @@ before a shifted tail is formed catches any field that would overflow;
 the computation then starts again at twice the field width.
 
 Ideals are homogeneous by construction (module runs are not, which is fine
-for Buchberger).  Every ideal, basis and normal form is
-grevlex; the reduced basis is cached on the ideal object, so repeated
-queries are cheap.
+for Buchberger).  Every ideal, basis and normal form is grevlex.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -261,42 +258,17 @@ def groebner_terms(generators: list[dict], layout: _Layout) -> tuple:
 # public wrappers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced grevlex Groebner basis; unique for a given ideal."""
-
-    elements: tuple[Poly, ...]
-    _packed: tuple = field(init=False, repr=False, compare=False, default=None)
-
-    def leading_monomials(self):
-        """The leading exponent tuples of the elements."""
-        return [g.leading()[0] for g in self.elements]
-
-    def _entries(self, arity: int, bits: int) -> tuple:
-        """(layout, basis entries) at a field width of at least ``bits``
-        that holds every element."""
-        if self._packed is not None and self._packed[0].bits >= bits:
-            return self._packed
-        bits = max([bits] + [g.layout.bits for g in self.elements])
-        layout = _layout(GREVLEX, arity, bits)
-        entries = [_entry(g.num if g.layout is layout else _repack(g.num, g.layout, layout),
-                          layout)
-                   for g in self.elements]
-        object.__setattr__(self, "_packed", (layout, entries))
-        return self._packed
-
-    def __len__(self):
-        return len(self.elements)
-
-
 class Ideal:
-    """An ideal of Q[x0..xn] with its cached reduced grevlex basis.
+    """An ideal of Q[x0..xn], the one owner of its reduced grevlex basis.
 
+    ``groebner_basis()`` computes the basis once and keeps it; every
+    membership test, normal form and dimension reads it from the ideal,
+    packed as engine entries at the widest field width asked for so far.
     Every ideal arising from a foliation instance is homogeneous; the class
     does not insist on it.
     """
 
-    __slots__ = ("arity", "generators", "_gb")
+    __slots__ = ("arity", "generators", "_basis", "_packed")
 
     def __init__(self, arity: int, generators=()):
         self.arity = arity
@@ -308,7 +280,7 @@ class Ideal:
                 raise ValueError(f"generator arity {g.arity} does not match ideal arity {arity}")
         # distinct nonzero generators, in order
         self.generators = tuple(dict.fromkeys(g for g in generators if not g.is_zero))
-        self._gb = None
+        self._basis = self._packed = None
 
     @staticmethod
     def unit(arity: int) -> "Ideal":
@@ -318,23 +290,35 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def groebner_basis(self) -> GroebnerBasis:
-        if self._gb is None:
-            elements = ()
+    def groebner_basis(self) -> tuple:
+        """The reduced, monic basis polynomials, by decreasing leading monomial."""
+        if self._basis is None:
+            self._basis = ()
             if self.generators:
                 layout, nums = _aligned(self.generators)
                 run, basis = groebner_terms(nums, layout)
-                elements = tuple(_make(run, num, den) for num, den in basis)
-            self._gb = GroebnerBasis(elements)
-        return self._gb
+                self._basis = tuple(_make(run, num, den) for num, den in basis)
+        return self._basis
+
+    def _entries(self, bits: int) -> tuple:
+        """(layout, basis entries) at a field width of at least ``bits``
+        that holds every basis element."""
+        if self._packed is not None and self._packed[0].bits >= bits:
+            return self._packed
+        basis = self.groebner_basis()
+        bits = max([bits] + [g.layout.bits for g in basis])
+        layout = _layout(GREVLEX, self.arity, bits)
+        self._packed = layout, [
+            _entry(g.num if g.layout is layout else _repack(g.num, g.layout, layout), layout)
+            for g in basis]
+        return self._packed
 
     @property
     def is_unit(self) -> bool:
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb.elements[0] == Poly.one(self.arity)
+        return self.groebner_basis() == (Poly.one(self.arity),)
 
     def contains(self, p: Poly) -> bool:
-        return normal_form(p, self.groebner_basis()).is_zero
+        return normal_form(p, self).is_zero
 
     def __add__(self, other):
         return ideal_sum(self, other)
@@ -351,15 +335,16 @@ class Ideal:
         return f"Ideal({inner})"
 
 
-def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
-    """Remainder of ``p`` on division by ``basis``; zero iff p lies in the ideal."""
-    if p.is_zero or not basis.elements:
+def normal_form(p: Poly, ideal: Ideal) -> Poly:
+    """Remainder of ``p`` on division by the reduced basis of ``ideal``;
+    zero iff p lies in the ideal."""
+    if p.is_zero or ideal.is_zero:
         return p
     # No overflow, so no retry: grevlex is graded, so a reduction step only
     # brings in monomials of at most the degree of the one it removes, and no
     # field of a monomial (nor of ``shift + top`` in ``_reduce``) exceeds
     # that degree; every field stays within deg p, which the width of p holds.
-    layout, entries = basis._entries(p.arity, p.layout.bits)
+    layout, entries = ideal._entries(p.layout.bits)
     num = p.num if layout is p.layout else _repack(p.num, p.layout, layout)
     rem, scale = _reduce(num, entries, layout)
     return _make(layout, rem, p.den * scale)
@@ -388,9 +373,8 @@ def _e0_coordinates(arity: int, vectors: list) -> Ideal:
             for (a, b), na, nb in zip(vectors, nums[::2], nums[1::2])]
     run, basis = groebner_terms(gens, block)
     rest, e1 = _layout(GREVLEX, arity, run.bits), run.weights[0]
-    elements = tuple(_make(rest, num, den) for num, den in basis if max(num) < e1)
-    ideal = Ideal(arity, elements)
-    ideal._gb = GroebnerBasis(elements)
+    ideal = Ideal(arity, [_make(rest, num, den) for num, den in basis if max(num) < e1])
+    ideal._basis = ideal.generators
     return ideal
 
 
@@ -443,24 +427,48 @@ def radical_membership(f: Poly, I: Ideal) -> bool:
     return I.contains(f) or ideal_saturation(I, Ideal(I.arity, [f])).is_unit
 
 
+def _transversal(supports: list, bound: int) -> int:
+    """The fewest variables meeting every support (a nonzero bitmask of
+    variables), or ``bound`` when that is not below ``bound``.
+
+    A one-variable support forces its variable.  Otherwise branch k takes
+    the k-th variable of a smallest support and leaves out the ones before
+    it, which may leave new one-variable supports.  Each level takes a
+    variable, so the depth is at most the answer."""
+    forced = sum({s for s in supports if not s & (s - 1)})  # distinct bits, so an or
+    size = forced.bit_count()
+    supports = [s for s in supports if not s & forced]
+    if not supports or size >= bound:
+        return min(size, bound)
+    best, left_out = bound, 0
+    smallest = min(supports, key=int.bit_count)
+    while smallest and size + 1 < best:
+        v = smallest & -smallest
+        smallest ^= v
+        rest = [s & ~left_out for s in supports if not s & v]
+        if all(rest):
+            best = size + 1 + _transversal(rest, best - size - 1)
+        left_out |= v
+    return best
+
+
 def krull_dimension(I: Ideal) -> int:
     """Krull dimension of the quotient ring by I (the affine cone).
 
     The unit ideal returns -1.  Computed from the grevlex leading-term
-    ideal: the dimension equals the size of the largest set of variables
-    containing the support of no leading monomial.
+    ideal (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 9): the largest set of variables containing the support of no
+    leading monomial leaves out the fewest variables meeting every one.
     """
-    gb = I.groebner_basis()
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()]
-    if any(not s for s in supports):
+    if I.is_zero:
+        return I.arity
+    layout, entries = I._entries(1)
+    shifts, cap = layout.shifts, layout.cap
+    supports = {sum(1 << i for i, shift in enumerate(shifts) if (lm >> shift) & cap)
+                for lm, _, _, _ in entries}
+    if 0 in supports:
         return -1  # a constant leading term: the unit ideal
-    n = I.arity
-    for size in range(n, 0, -1):
-        for subset in itertools.combinations(range(n), size):
-            chosen = frozenset(subset)
-            if not any(s <= chosen for s in supports):
-                return size
-    return 0
+    return I.arity - _transversal(list(supports), I.arity)
 
 
 def projective_dimension(I: Ideal) -> int:
@@ -472,7 +480,7 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Exact ideal equality: identical reduced grevlex bases."""
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
-    return I.groebner_basis().elements == J.groebner_basis().elements
+    return I.groebner_basis() == J.groebner_basis()
 
 
 def module_annihilator(components, I: Ideal) -> Ideal:
@@ -486,10 +494,9 @@ def module_annihilator(components, I: Ideal) -> Ideal:
     With ``acc`` the whole ring that is the test b in I, so a vector whose
     components all lie in I has the whole ring as its annihilator.
     """
-    gb = I.groebner_basis()
     whole = acc = Ideal.unit(I.arity)
     for b in components:
-        if all(normal_form(h * b, gb).is_zero for h in acc.generators):
+        if all(I.contains(h * b) for h in acc.generators):
             continue
         colon = ideal_quotient(I, b)
         acc = colon if acc is whole else ideal_intersection(acc, colon)

@@ -427,7 +427,12 @@ def _tokenize(text: str):
                 break
             raise PolyParseError(f"unexpected character {tail[0]!r} at position {pos}")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            digits = m.group(1)
+            try:
+                tokens.append(("int", int(digits)))
+            except ValueError:  # past Python's limit on digits converted
+                raise PolyParseError(f"integer literal of {len(digits)} digits "
+                                     f"at position {m.start(1)} is too long") from None
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:

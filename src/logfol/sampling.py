@@ -1,8 +1,8 @@
 """Seeded random generation of validated foliation instances.
 
-Divisor coefficients and residues are drawn from small integer ranges and
-draws that fail validation (degenerate residues, non-transversal
-arrangements, singular divisors) are rejected and retried, so a returned
+Hyperplane coefficients and residues are drawn from small integer ranges
+and draws that fail validation (degenerate residues, non-transversal
+arrangements) are rejected and retried, so a returned
 instance always carries a validation certificate at the requested level.
 All randomness flows through the caller's ``random.Random`` so batches are
 reproducible from a recorded seed.
@@ -10,7 +10,6 @@ reproducible from a recorded seed.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -28,64 +27,47 @@ def random_linear_form(rng: random.Random, arity: int) -> Poly:
     while True:
         coeffs = [rng.randint(-3, 3) for _ in range(arity)]
         if any(coeffs):
-            terms = {}
-            for i, c in enumerate(coeffs):
-                if c:
-                    mono = tuple(1 if j == i else 0 for j in range(arity))
-                    terms[mono] = Fraction(c)
-            return Poly(arity, terms)
+            return Poly(arity, {tuple(int(j == i) for j in range(arity)): c
+                                for i, c in enumerate(coeffs) if c})
 
 
 def random_smooth_quadric(rng: random.Random, arity: int) -> Poly:
     """A diagonal quadric with nonzero entries; always a smooth hypersurface."""
-    terms = {}
-    for i in range(arity):
-        c = rng.choice([-3, -2, -1, 1, 2, 3])
-        mono = tuple(2 if j == i else 0 for j in range(arity))
-        terms[mono] = Fraction(c)
-    return Poly(arity, terms)
+    return Poly(arity, {tuple(2 * (j == i) for j in range(arity)):
+                        rng.choice([-3, -2, -1, 1, 2, 3]) for i in range(arity)})
 
 
-def _descent_matrix(rng: random.Random, q: int, degrees) -> list:
-    """A q x s integer-ish matrix whose rows are degree-orthogonal."""
-    s = len(degrees)
+def _descent_matrix(rng: random.Random, q: int, s: int) -> list:
+    """A q x s integer matrix whose rows sum to zero: the residues of s
+    hyperplanes satisfy descent."""
     rows = []
     for _ in range(q):
         head = [rng.randint(-4, 4) for _ in range(s - 1)]
-        tail = -Fraction(sum(c * d for c, d in zip(head, degrees)), degrees[-1])
-        rows.append([Fraction(c) for c in head] + [tail])
+        rows.append([Fraction(c) for c in head + [-sum(head)]])
     return rows
 
 
-def random_foliation_spec(rng: random.Random, n: int, q: int, s: int,
-                          degrees=None, coordinate_bias: float = 0.5) -> FoliationSpec:
-    """One random draw; may fail validation (callers should retry)."""
+def random_foliation_spec(rng: random.Random, n: int, q: int, s: int) -> FoliationSpec:
+    """One random draw of s hyperplanes, each a coordinate hyperplane not
+    drawn yet with probability 1/2; may fail validation (callers should
+    retry)."""
     arity = n + 1
-    if degrees is None:
-        degrees = [1] * s
     divisors = []
     free_coords = list(range(arity))
-    for d in degrees:
-        if d == 1:
-            if free_coords and rng.random() < coordinate_bias:
-                i = free_coords.pop(rng.randrange(len(free_coords)))
-                divisors.append(Poly.variable(arity, i))
-            else:
-                divisors.append(random_linear_form(rng, arity))
-        elif d == 2:
-            divisors.append(random_smooth_quadric(rng, arity))
+    for _ in range(s):
+        if free_coords and rng.random() < 0.5:
+            i = free_coords.pop(rng.randrange(len(free_coords)))
+            divisors.append(Poly.variable(arity, i))
         else:
-            raise ValueError("only divisor degrees 1 and 2 are generated")
-    matrix = _descent_matrix(rng, q, degrees)
-    return FoliationSpec(n, q, divisors, residue_matrix=matrix)
+            divisors.append(random_linear_form(rng, arity))
+    return FoliationSpec(n, q, divisors, residue_matrix=_descent_matrix(rng, q, s))
 
 
 def random_validated_spec(rng: random.Random, n: int, q: int, s: int,
-                          degrees=None, level: str = "full-snc",
-                          max_tries: int = 200) -> ValidatedSpec:
-    """Draw until a spec passes validation at ``level``."""
-    for _ in range(max_tries):
-        spec = random_foliation_spec(rng, n, q, s, degrees)
+                          level: str = "full-snc") -> ValidatedSpec:
+    """Draw until a spec passes validation at ``level``, at most 200 times."""
+    for _ in range(200):
+        spec = random_foliation_spec(rng, n, q, s)
         try:
             vs = validate_spec(spec, level)
         except SpecValidationError:
@@ -95,19 +77,10 @@ def random_validated_spec(rng: random.Random, n: int, q: int, s: int,
         if degenerate_strata(vs.lambdas, q, s):
             continue
         return vs
-    raise RuntimeError(
-        f"no valid instance found in {max_tries} draws for n={n} q={q} s={s}")
+    raise RuntimeError(f"no valid instance found in 200 draws for n={n} q={q} s={s}")
 
 
-def instance_menu(max_n: int = 4):
+def instance_menu():
     """The (n, q, s) shapes the random suites draw from."""
-    shapes = []
-    for n in range(2, max_n + 1):
-        for q in (1, 2):
-            if q > n - 1:
-                continue
-            for s in range(q + 2, 6):
-                if s <= q:
-                    continue
-                shapes.append((n, q, s))
-    return shapes
+    return [(n, q, s) for n in (2, 3, 4) for q in (1, 2) if q <= n - 1
+            for s in range(q + 2, 6)]

@@ -71,11 +71,23 @@ MALFORMED_SPECS = {
         dict(LINEAR_P4_SPEC,
              divisors=["x0", "(x0+2*x1+3*x2+5*x3)^50"] + LINEAR_P4_SPEC["divisors"][2:]),
         "divisor 2: a 4-term base to the power 50 can expand to more than 1000 terms"),
+    # raw text: json.dumps cannot write an integer past Python's digit limit
+    "matrix-entry-of-5000-digits": (
+        json.dumps(GOOD_SPEC).replace("-3]]", "-" + "9" * 5000 + "]]"),
+        "cannot be parsed as JSON: Exceeds the limit"),
+    "divisor-literal-of-5000-digits": (
+        dict(GOOD_SPEC, divisors=["x0", "x1", "7*x2 + " + "1" * 5000]),
+        "divisor 3: integer literal of 5000 digits at position 7 is too long"),
+    "residue-in-exponent-notation": (
+        dict(GOOD_SPEC, residue_matrix=[["1e7000000", 2, -3]]),
+        "residue_matrix[1]: exponent notation is not accepted"),
 }
 
 
 def write_spec(path, payload):
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    """Write a spec object as JSON, or raw text as it stands."""
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                    encoding="utf-8")
     return str(path)
 
 

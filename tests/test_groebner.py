@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logfol import groebner
+from logfol.cli import main
 from logfol.groebner import (
-    GroebnerBasis,
     Ideal,
     ideal_equal,
     ideal_intersection,
@@ -41,7 +43,7 @@ from conftest import (
 
 
 def gens_of(ideal):
-    return sorted(str(g) for g in ideal.groebner_basis().elements)
+    return sorted(str(g) for g in ideal.groebner_basis())
 
 
 # -- reduced Groebner bases -----------------------------------------------------
@@ -69,9 +71,8 @@ def test_generators_reduce_to_zero():
         gens = [mono_poly(3, random_monomial(rng, 3, 3)) for _ in range(3)]
         lin = P("x0 + 2*x1 - x2", 3)
         I = Ideal(3, gens + [lin * gens[0]])
-        gb = I.groebner_basis()
         for g in I.generators:
-            assert normal_form(g, gb).is_zero
+            assert normal_form(g, I).is_zero
 
 
 def test_reduced_basis_unique_under_regeneration():
@@ -80,7 +81,7 @@ def test_reduced_basis_unique_under_regeneration():
     x = variables(3)
     base = [x[0] * x[1] - x[2] * x[2], x[1] * x[2], x[0] * x[0] * x[2]]
     I = Ideal(3, base)
-    reference = I.groebner_basis().elements
+    reference = I.groebner_basis()
     for _ in range(10):
         mixed = list(base)
         a, b = rng.sample(range(len(base)), 2)
@@ -89,17 +90,17 @@ def test_reduced_basis_unique_under_regeneration():
         mixed[a] = mixed[a] + coeff * x[rng.randrange(3)] ** (
             max(0, mixed[a].total_degree() - mixed[b].total_degree())) * mixed[b]
         J = Ideal(3, mixed + [base[a]])
-        assert J.groebner_basis().elements == reference
+        assert J.groebner_basis() == reference
     assert I.groebner_basis() is I.groebner_basis()  # computed once per ideal
 
 
 def test_reducedness_property():
     """No term of a basis element is divisible by another's leading term."""
     I = Ideal(3, [P("x0^2 + x1*x2", 3), P("x0*x1 - x2^2", 3), P("x1^3 - x2^3", 3)])
-    gb = I.groebner_basis()
+    basis = I.groebner_basis()
     from conftest import mono_divides
-    leads = gb.leading_monomials()
-    for i, g in enumerate(gb.elements):
+    leads = [g.leading()[0] for g in basis]
+    for i, g in enumerate(basis):
         _, lc = g.leading()
         assert lc == 1
         for mono in g.terms:
@@ -112,25 +113,23 @@ def test_reducedness_property():
 # -- normal forms -----------------------------------------------------------------
 
 def test_normal_form_examples():
-    G = Ideal(2, [P("x0", 2)]).groebner_basis()
-    assert normal_form(P("x0*x1", 2), G).is_zero
-    assert normal_form(P("x1^2", 2), G) == P("x1^2", 2)
-    G2 = GroebnerBasis((P("x0 - x1", 2),))
-    assert normal_form(P("x0^2 + x1", 2), G2) == P("x1^2 + x1", 2)
+    I = Ideal(2, [P("x0", 2)])
+    assert normal_form(P("x0*x1", 2), I).is_zero
+    assert normal_form(P("x1^2", 2), I) == P("x1^2", 2)
+    J = Ideal(2, [P("x0 - x1", 2)])
+    assert normal_form(P("x0^2 + x1", 2), J) == P("x1^2 + x1", 2)
 
 
 def test_normal_form_membership_witness():
     I = Ideal(3, [P("x0*x1 - x2^2", 3), P("x0^2 - x1*x2", 3)])
-    gb = I.groebner_basis()
     member = P("x1", 3) * I.generators[0] + P("x2", 3) * I.generators[1]
-    assert normal_form(member, gb).is_zero
+    assert normal_form(member, I).is_zero
     assert p_minus_nf_in_ideal(P("x0^3 + x1^3 + x2^3", 3), I)
 
 
 def p_minus_nf_in_ideal(p, I):
-    gb = I.groebner_basis()
-    diff = p - normal_form(p, gb)
-    return normal_form(diff, gb).is_zero
+    diff = p - normal_form(p, I)
+    return normal_form(diff, I).is_zero
 
 
 # -- sums --------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_intersection_three_coordinate_planes():
 
 def test_intersection_idempotent():
     I = Ideal(3, [P("x0^2 - x1*x2", 3), P("x1*x2^2", 3)])
-    assert ideal_intersection(I, I).groebner_basis().elements == I.groebner_basis().elements
+    assert ideal_intersection(I, I).groebner_basis() == I.groebner_basis()
 
 
 def test_intersection_against_monomial_oracle():
@@ -173,11 +172,10 @@ def test_intersection_against_monomial_oracle():
         A = Ideal(arity, [mono_poly(arity, m) for m in gens_a])
         B = Ideal(arity, [mono_poly(arity, m) for m in gens_b])
         engine = ideal_intersection(A, B)
-        gb = engine.groebner_basis()
         bound = max(sum(m) for m in gens_a) + max(sum(m) for m in gens_b)
         for mono in monomials_upto(arity, bound):
             expected = oracle_intersection(mono, [gens_a, gens_b])
-            assert normal_form(mono_poly(arity, mono), gb).is_zero == expected
+            assert normal_form(mono_poly(arity, mono), engine).is_zero == expected
 
 
 # -- colon ideals ---------------------------------------------------------------------
@@ -205,11 +203,10 @@ def test_colon_against_monomial_oracle():
         u = random_monomial(rng, arity, 3)
         I = Ideal(arity, [mono_poly(arity, m) for m in gens])
         engine = ideal_quotient(I, mono_poly(arity, u))
-        gb = engine.groebner_basis()
         bound = max(sum(m) for m in gens)
         for mono in monomials_upto(arity, bound):
             expected = oracle_colon(mono, gens, u)
-            assert normal_form(mono_poly(arity, mono), gb).is_zero == expected
+            assert normal_form(mono_poly(arity, mono), engine).is_zero == expected
 
 
 def test_colon_containments():
@@ -221,13 +218,11 @@ def test_colon_containments():
         I = Ideal(arity, [mono_poly(arity, m) for m in gens])
         g = mono_poly(arity, random_monomial(rng, arity, 2))
         Q = ideal_quotient(I, g)
-        gb_q = Q.groebner_basis()
         for gen in I.generators:
-            assert normal_form(gen, gb_q).is_zero
+            assert normal_form(gen, Q).is_zero
         inter = ideal_intersection(I, Ideal(arity, [g]))
-        gb_inter = inter.groebner_basis()
         for h in Q.generators:
-            assert normal_form(h * g, gb_inter).is_zero
+            assert normal_form(h * g, inter).is_zero
 
 
 # -- soundness properties of colon and intersection --------------------------------
@@ -259,10 +254,9 @@ _PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, 
 @given(_ideals_and_poly())
 def test_colon_generators_multiply_into_the_ideal(case):
     I, _, g = case
-    gb = I.groebner_basis()
     colon = ideal_quotient(I, g)
     for h in colon.generators:
-        assert normal_form(h * g, gb).is_zero
+        assert normal_form(h * g, I).is_zero
     assert all(colon.contains(f) for f in I.generators)  # and I lies in I : g
 
 
@@ -295,11 +289,10 @@ def test_saturation_against_monomial_oracle():
         I = Ideal(arity, [mono_poly(arity, m) for m in gens])
         J = Ideal(arity, [mono_poly(arity, m) for m in sat_gens])
         engine = ideal_saturation(I, J)
-        gb = engine.groebner_basis()
         bound = max(sum(m) for m in gens)
         for mono in monomials_upto(arity, bound):
             expected = oracle_saturation(mono, gens, sat_gens)
-            assert normal_form(mono_poly(arity, mono), gb).is_zero == expected, (
+            assert normal_form(mono_poly(arity, mono), engine).is_zero == expected, (
                 gens, sat_gens, mono)
 
 
@@ -345,6 +338,36 @@ def test_dimension_against_independent_set_oracle():
         assert krull_dimension(I) == oracle_dimension(gens, arity)
 
 
+def test_dimension_in_many_variables_is_bounded_work(tmp_path):
+    """The dimension is found as the fewest variables meeting every leading
+    support, not by a walk over the subsets of variables: a 60-variable
+    Jacobian of a diagonal quadric, and ``logfol check`` of a smooth
+    quadric and two hyperplanes on P^40, take well under 10 s each.
+    Supports of two or three variables, where no variable is forced, are
+    checked against the subset walk in 12 variables."""
+    t0 = time.perf_counter()
+    x = variables(60)
+    quadric = sum((x[i] * x[i] * (i + 1) for i in range(60)), Poly.zero(60))
+    assert krull_dimension(Ideal(60, [quadric.partial_derivative(i) for i in range(60)])) == 0
+    assert time.perf_counter() - t0 < 10
+
+    t0 = time.perf_counter()
+    spec = {"n": 40, "q": 1, "divisors": [" + ".join(f"x{i}^2" for i in range(41)), "x0", "x1"],
+            "residue_matrix": [[2, -1, -3]], "validation_level": "generic"}
+    path = tmp_path / "p40.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["check", str(path), "--format", "machine", "--output",
+                 str(tmp_path / "report.json")]) == 0
+    assert time.perf_counter() - t0 < 10
+
+    rng = random.Random(60)
+    for _ in range(8):
+        gens = {tuple(int(i in chosen) for i in range(12))
+                for chosen in (rng.sample(range(12), rng.randint(2, 3)) for _ in range(10))}
+        I = Ideal(12, [mono_poly(12, m) for m in gens])
+        assert krull_dimension(I) == oracle_dimension(gens, 12)
+
+
 # -- equality ---------------------------------------------------------------------------------
 
 def test_ideal_equal():
@@ -362,12 +385,11 @@ def test_sum_vs_cap_identity_smallest_case():
     cap_form = intersect_all(
         [Ideal(3, [x0, x1]), Ideal(3, [x0, x2]), Ideal(3, [x1, x2])], 3)
     assert ideal_equal(sum_form, cap_form)
-    gb = cap_form.groebner_basis()
     pairs = [(0, 1), (0, 2), (1, 2)]
     for mono in monomials_upto(3, 3):
         # a monomial lies in the intersection iff every pair contributes a factor
         oracle = all(any(mono[i] > 0 for i in pair) for pair in pairs)
-        member = normal_form(mono_poly(3, mono), gb).is_zero
+        member = normal_form(mono_poly(3, mono), cap_form).is_zero
         assert member == oracle
 
 
@@ -394,10 +416,9 @@ def test_module_annihilator_examples(monkeypatch):
         ann = module_annihilator(components, I)
         reference = intersect_all([ideal_quotient(I, g) for g in components], 3)
         assert ideal_equal(ann, reference)
-        gb = I.groebner_basis()
         for h in ann.generators:
             for g in components:
-                assert normal_form(h * g, gb).is_zero
+                assert normal_form(h * g, I).is_zero
 
     # x0*x2 and x0^2 are skipped: (x1) already annihilates them modulo (x0*x1)
     calls = []
@@ -470,7 +491,7 @@ def _monic_terms(sympy, polys):
 
 
 def _basis_terms(ideal):
-    return {frozenset(g.terms.items()) for g in ideal.groebner_basis().elements}
+    return {frozenset(g.terms.items()) for g in ideal.groebner_basis()}
 
 
 def _recorded_runs(monkeypatch):
@@ -497,7 +518,7 @@ def test_reduced_bases_match_sympy():
         gens = [g for g in gens if not g.is_zero]
         if not gens:
             continue
-        engine = {frozenset(g.terms.items()) for g in Ideal(arity, gens).groebner_basis().elements}
+        engine = {frozenset(g.terms.items()) for g in Ideal(arity, gens).groebner_basis()}
         assert engine == _sympy_reduced_basis(sympy, gens, arity, "grevlex"), gens
 
 
@@ -532,13 +553,13 @@ def test_block1_bases_and_normal_forms_match_sympy():
         expected = sympy.groebner(quotients, *xs, order="grevlex", domain="QQ").polys
         assert _basis_terms(ideal_quotient(M, g)) == _monic_terms(sympy, expected), (M, g)
 
-        basis = _sympy_polys(sympy, cap.groebner_basis().elements, xs)
+        basis = _sympy_polys(sympy, cap.groebner_basis(), xs)
         for _ in range(2):
             p = random_poly(rng, arity, 4, 5) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
             p = p + Poly.const(arity, Fraction(1, rng.randint(2, 7)))
             _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0], basis,
                                         *xs, order="grevlex", domain="QQ")
-            nf = normal_form(p, cap.groebner_basis())
+            nf = normal_form(p, cap)
             assert frozenset(nf.terms.items()) == _sympy_terms(expected), p
 
 
@@ -570,7 +591,7 @@ def test_intersection_and_colon_cache_their_bases(monkeypatch):
         assert result.groebner_basis() is result.groebner_basis()
         assert len(runs) == 1
         fresh = Ideal(3, result.generators).groebner_basis()
-        assert result.groebner_basis().elements == fresh.elements
+        assert result.groebner_basis() == fresh
         runs.clear()
 
 
@@ -639,7 +660,8 @@ def test_radical_membership_matches_sympy():
 
 
 def test_exponents_beyond_a_fixed_field_width_match_sympy(monkeypatch):
-    """Exponents above 4096 in the input, and a module run whose lcm degrees
+    """Exponents above 4096 in the input, a normal form wider than the
+    entries its ideal has packed so far, and a module run whose lcm degrees
     outgrow the width chosen from the input degrees."""
     sympy = pytest.importorskip("sympy")
     # x -> x^2500 maps a grevlex Groebner basis to one, with every step alike
@@ -647,15 +669,34 @@ def test_exponents_beyond_a_fixed_field_width_match_sympy(monkeypatch):
     gens = [Poly(3, {tuple(2500 * e for e in m): c for m, c in P(s, 3).terms.items()})
             for s in small]
     assert max(g.total_degree() for g in gens) == 7500
-    gb = Ideal(3, gens).groebner_basis()
-    engine = {frozenset(g.terms.items()) for g in gb.elements}
+    G = Ideal(3, gens)
+    engine = {frozenset(g.terms.items()) for g in G.groebner_basis()}
     assert engine == _sympy_reduced_basis(sympy, gens, 3, "grevlex")
     xs = sympy.symbols("x0:3")
+
+    def sympy_normal_form(p, ideal):
+        _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0],
+                                    _sympy_polys(sympy, ideal.groebner_basis(), xs), *xs,
+                                    order="grevlex", domain="QQ")
+        return _sympy_terms(expected)
+
     p = P("x0^9000*x1^5000 + 1/3*x1^12000 - x2^7600", 3)
-    _, expected = sympy.reduced(_sympy_polys(sympy, [p], xs)[0],
-                                _sympy_polys(sympy, gb.elements, xs), *xs,
-                                order="grevlex", domain="QQ")
-    assert frozenset(normal_form(p, gb).terms.items()) == _sympy_terms(expected)
+    assert frozenset(normal_form(p, G).terms.items()) == sympy_normal_form(p, G)
+
+    # a degree-2 basis packed at 7 bits, then a degree-200 polynomial (14
+    # bits): the entries are widened, and a later narrower one reuses them
+    Q = Ideal(3, [P("x0^2 + 2*x1*x2 - x2^2", 3), P("x1^2 - 3*x0*x2", 3)])
+    assert [g.total_degree() for g in Q.groebner_basis()] == [2, 2]
+    narrow = P("x0^3*x1 + x1^3 - 1/2*x2", 3)
+    assert frozenset(normal_form(narrow, Q).terms.items()) == sympy_normal_form(narrow, Q)
+    assert Q._packed[0].bits == 7
+    p = P("x0^120*x1^80 - 5*x1^150*x2^50 + 2/3*x0*x2^199 + x1^3", 3)
+    assert p.layout.bits == 14
+    assert frozenset(normal_form(p, Q).terms.items()) == sympy_normal_form(p, Q)
+    packed = Q._packed
+    assert packed[0].bits == 14
+    assert frozenset(normal_form(narrow, Q).terms.items()) == sympy_normal_form(narrow, Q)
+    assert Q._packed is packed
 
     # the lcm x0^50*x1^100 of the leading terms at e1 has degree 150: the run
     # starts again wider than the input's width
@@ -665,4 +706,4 @@ def test_exponents_beyond_a_fixed_field_width_match_sympy(monkeypatch):
     (layout, run), = runs
     assert run.bits > layout.bits
     assert _basis_terms(cap) == _monic_terms(sympy, _sympy_eliminated(sympy, I, J))
-    assert max(g.total_degree() for g in cap.groebner_basis().elements) == 150
+    assert max(g.total_degree() for g in cap.groebner_basis()) == 150

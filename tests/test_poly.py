@@ -221,8 +221,9 @@ def test_leading_term_respects_order():
     st.lists(st.integers(0, 9), min_size=arity, max_size=arity),
     st.integers(0, 9))))
 def test_t_free_elimination_monomials_pack_as_grevlex(case):
-    """``ideal_intersection`` and ``radical_membership`` add t to grevlex
-    monomials without repacking them: this is what makes that sound."""
+    """Module runs put a grevlex monomial at e0 unchanged and add the
+    position field's weight for e1, without repacking: this is what makes
+    that sound."""
     bits, exps, e = case
     grevlex = _layout(GREVLEX, len(exps), bits)
     block = _layout(ELIMINATION, len(exps) + 1, bits)
