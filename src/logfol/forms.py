@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, _signed_sum
 
 IndexTuple = tuple  # strictly increasing tuple of variable indices
 
@@ -91,26 +91,26 @@ class PForm:
 
     # -- linear structure ------------------------------------------------------
 
-    def _check_compatible(self, other: "PForm"):
+    def _combine(self, other, sign: int):
+        """self + sign * other."""
+        if not isinstance(other, PForm):
+            return NotImplemented
         if self.arity != other.arity:
             raise ValueError("arity mismatch between forms")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
+        return _collect(self.arity, self.degree, itertools.chain(
+            ((s, p, 1) for s, p in self.coeffs.items()),
+            ((s, p, sign) for s, p in other.coeffs.items())))
 
     def __add__(self, other):
-        if not isinstance(other, PForm):
-            return NotImplemented
-        self._check_compatible(other)
-        return _collect(self.arity, self.degree,
-                        itertools.chain(self.coeffs.items(), other.coeffs.items()))
+        return self._combine(other, 1)
 
     def __neg__(self):
         return PForm(self.arity, self.degree, {s: -p for s, p in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, PForm):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction, Poly)):
@@ -143,12 +143,15 @@ class PForm:
 
 
 def _collect(arity: int, degree: int, pieces) -> PForm:
-    """The form whose coefficients sum the (index tuple, Poly) pieces."""
-    coeffs = {}
-    for subset, poly in pieces:
-        acc = coeffs.get(subset)
-        coeffs[subset] = poly if acc is None else acc + poly
-    return PForm(arity, degree, coeffs)
+    """The form whose coefficient at each index tuple is the sum of
+    sign * poly over the (index tuple, Poly, sign) pieces, in one pass."""
+    grouped = {}
+    for subset, poly, sign in pieces:
+        polys, signs = grouped.setdefault(subset, ([], []))
+        polys.append(poly)
+        signs.append(sign)
+    return PForm(arity, degree, {subset: polys[0] if signs == [1] else _signed_sum(polys, signs)
+                                 for subset, (polys, signs) in grouped.items()})
 
 
 def wedge(a: PForm, b: PForm) -> PForm:
@@ -163,7 +166,7 @@ def wedge(a: PForm, b: PForm) -> PForm:
         for sb, pb in b.coeffs.items():
             merged, sign = _merge_sign(sa, sb)
             if merged is not None:
-                pieces.append((merged, pa * pb if sign > 0 else -(pa * pb)))
+                pieces.append((merged, pa * pb, sign))
     return _collect(a.arity, degree, pieces)
 
 
@@ -174,8 +177,7 @@ def exterior_derivative(a: PForm) -> PForm:
         for i in range(a.arity):
             if i not in subset:
                 merged, sign = _merge_sign((i,), subset)
-                dp = poly.partial_derivative(i)
-                pieces.append((merged, dp if sign > 0 else -dp))
+                pieces.append((merged, poly.partial_derivative(i), sign))
     return _collect(a.arity, a.degree + 1, pieces)
 
 
@@ -219,9 +221,17 @@ def radial_contraction(a: PForm) -> PForm:
     """
     if a.degree == 0:
         return PForm(a.arity, 0)
-    pieces = (contract_index(a, i) * Poly.variable(a.arity, i) for i in range(a.arity))
-    return _collect(a.arity, a.degree - 1,
-                    itertools.chain.from_iterable(p.coeffs.items() for p in pieces))
+    pieces = ((subset[:k] + subset[k + 1:], poly * Poly.variable(a.arity, i), (-1) ** k)
+              for subset, poly in a.coeffs.items() for k, i in enumerate(subset))
+    return _collect(a.arity, a.degree - 1, pieces)
+
+
+def _wedge_test(a: PForm, step, what: str) -> bool:
+    """Whether step(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi."""
+    if a.degree < 1:
+        raise ValueError(f"{what} is only defined for forms of degree >= 1")
+    return all(wedge(step(contract(a, xi)), a).is_zero
+               for xi in itertools.combinations(range(a.arity), a.degree - 1))
 
 
 def plucker_check(a: PForm) -> bool:
@@ -230,13 +240,7 @@ def plucker_check(a: PForm) -> bool:
     Requires (i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi;
     linearity over functions makes the coordinate multivectors sufficient.
     """
-    q = a.degree
-    if q < 1:
-        raise ValueError("decomposability is only defined for forms of degree >= 1")
-    for xi in itertools.combinations(range(a.arity), q - 1):
-        if not wedge(contract(a, xi), a).is_zero:
-            return False
-    return True
+    return _wedge_test(a, lambda form: form, "decomposability")
 
 
 def frobenius_check(a: PForm) -> bool:
@@ -245,10 +249,4 @@ def frobenius_check(a: PForm) -> bool:
     Requires d(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi;
     for q = 1 this is the classical da ∧ a = 0.
     """
-    q = a.degree
-    if q < 1:
-        raise ValueError("integrability is only defined for forms of degree >= 1")
-    for xi in itertools.combinations(range(a.arity), q - 1):
-        if not wedge(exterior_derivative(contract(a, xi)), a).is_zero:
-            return False
-    return True
+    return _wedge_test(a, exterior_derivative, "integrability")

@@ -26,8 +26,10 @@ radical membership, which is insensitive to embedded or non-reduced
 structure.  Both results are recorded when they differ.
 
 One instance is one ``SchemeIdeals``: its form, its ideals and the paper's
-hypotheses on it are each computed on first use and then kept.  ``CHECKS``
-names every check ``logfol verify`` can run on an instance, in report order.
+hypotheses on it are each computed on first use and then kept.  A check is
+a function of the instance returning ``(passed, details)``; ``_run`` times
+and gates every check in one place, and ``CHECKS`` names every check
+``logfol verify`` can run on an instance, in report order.
 """
 
 from __future__ import annotations
@@ -72,16 +74,13 @@ def singular_ideal(form: PForm) -> Ideal:
     return Ideal(form.arity, list(form.coeffs.values()))
 
 
-def kupka_ideal(form: PForm, singular: Ideal | None = None) -> Ideal:
+def kupka_ideal(form: PForm, singular: Ideal) -> Ideal:
     """Singular ideal plus the annihilator of the class of d(form) modulo it.
 
     When d(form) vanishes identically the class is zero, its annihilator is
     the whole ring, and the Kupka ideal is the unit ideal (empty locus).
     """
-    if singular is None:
-        singular = singular_ideal(form)
-    differential = exterior_derivative(form)
-    components = list(differential.coeffs.values())
+    components = list(exterior_derivative(form).coeffs.values())
     annihilator = module_annihilator(components, singular)
     return ideal_sum(singular, annihilator)
 
@@ -219,51 +218,107 @@ def _precondition_details(ids: SchemeIdeals, residues: bool) -> dict:
     return details
 
 
-def verify_identities(ids: SchemeIdeals) -> CheckResult:
-    """Structural identities of the built form: descent (radial contraction
-    zero), integrability, decomposability in matrix mode, and a positive
-    codimension of the coefficient ideal."""
-    t0 = time.perf_counter()
+def _run(ids: SchemeIdeals, checks, pre: dict | None = None, waive: bool = False) -> list:
+    """Run the ``(name, check)`` pairs on one instance, each timed by itself.
+
+    ``pre`` holds the details of the hypotheses the checks assume.  When
+    they fail every check is ``skipped`` with those details, unless
+    ``waive``: then each check still runs and carries them alongside its own.
+    """
+    failed = pre is not None and not pre["precondition_ok"]
+    if failed and not waive:
+        return [CheckResult(name, "skipped", dict(pre)) for name, _ in checks]
+    results = []
+    for name, check in checks:
+        t0 = time.perf_counter()
+        passed, details = check(ids)
+        if failed:
+            details.update(pre)
+        results.append(CheckResult(name, "pass" if passed else "fail", details,
+                                   time.perf_counter() - t0))
+    return results
+
+
+def _identities(ids: SchemeIdeals):
     form = ids.form
-    details = {}
-    details["radial_contraction_zero"] = radial_contraction(form).is_zero
-    details["integrable"] = frobenius_check(form)
-    if ids.vs.spec.mode == "matrix":
-        details["decomposable"] = plucker_check(form)
     codim = ids.vs.n - projective_dimension(ids.singular)
-    details["coefficient_ideal_projective_codim"] = codim
-    details["coefficient_ideal_positive_codim"] = codim >= 1
-    ok = all(v for k, v in details.items() if isinstance(v, bool))
-    return CheckResult("identities", "pass" if ok else "fail",
-                       details, time.perf_counter() - t0)
+    details = {"radial_contraction_zero": radial_contraction(form).is_zero,
+               "integrable": frobenius_check(form), "decomposable": plucker_check(form),
+               "coefficient_ideal_projective_codim": codim,
+               "coefficient_ideal_positive_codim": codim >= 1}
+    return all(v for v in details.values() if isinstance(v, bool)), details
 
 
-def _check_sing(ids: SchemeIdeals) -> CheckResult:
-    t0 = time.perf_counter()
-    return CheckResult("sing", "pass", ideal_block(ids.singular),
-                       time.perf_counter() - t0)
+def _sing(ids: SchemeIdeals):
+    return True, ideal_block(ids.singular)
 
 
-def _check_kupka(ids: SchemeIdeals) -> CheckResult:
-    t0 = time.perf_counter()
+def _kupka(ids: SchemeIdeals):
     contained = all(ids.kupka.contains(g) for g in ids.singular.generators)
     details = ideal_block(ids.kupka)
     details["contains_singular_ideal"] = contained
-    return CheckResult("kupka", "pass" if contained else "fail", details,
-                       time.perf_counter() - t0)
+    return contained, details
 
 
-def _check_persistent(ids: SchemeIdeals) -> CheckResult:
-    t0 = time.perf_counter()
+def _persistent(ids: SchemeIdeals):
     included = all(ids.persistent_cap.contains(g) for g in ids.persistent_sum.generators)
-    details = {
-        "sum": ideal_block(ids.persistent_sum),
-        "cap": ideal_block(ids.persistent_cap),
-        "sum_included_in_cap": included,
-        "ideals_equal": ideal_equal(ids.persistent_sum, ids.persistent_cap),
-    }
-    return CheckResult("persistent", "pass" if included else "fail", details,
-                       time.perf_counter() - t0)
+    return included, {"sum": ideal_block(ids.persistent_sum),
+                      "cap": ideal_block(ids.persistent_cap), "sum_included_in_cap": included,
+                      "ideals_equal": ideal_equal(ids.persistent_sum, ids.persistent_cap)}
+
+
+def _lemma(ids: SchemeIdeals):
+    equal = ideal_equal(ids.persistent_sum, ids.persistent_cap)
+    details = _precondition_details(ids, residues=False)
+    details["ideals_equal"] = equal
+    details["sum_generators"] = generator_strings(ids.persistent_sum)
+    details["cap_generators"] = generator_strings(ids.persistent_cap)
+    return equal, details
+
+
+def _kupka_codimension(ids: SchemeIdeals):
+    cone = krull_dimension(ids.kupka)
+    proj = max(cone - 1, -1)
+    expected = ids.vs.n - (ids.vs.q + 1)
+    return proj == expected, {"cone_dimension": cone, "projective_dimension": proj,
+                              "expected_projective_dimension": expected,
+                              "generators": generator_strings(ids.kupka)}
+
+
+def _residual_dimension(ids: SchemeIdeals):
+    proj, bound = projective_dimension(ids.residual), ids.vs.q - 1
+    return proj <= bound, {"projective_dimension": proj, "empty": proj == -1, "bound": bound,
+                           "generators": generator_strings(ids.residual)}
+
+
+def _same_locus(I: Ideal, J: Ideal):
+    """``radical_equal`` as a check: the witness is reported when there is one."""
+    same, witness = radical_equal(I, J)
+    return same, {"radical_equal": same, **({"witness": witness} if witness else {})}
+
+
+def _kupka_formula(ids: SchemeIdeals):
+    same, details = _same_locus(ids.kupka, ids.persistent_cap)
+    details["ideals_equal"] = ideal_equal(ids.kupka, ids.persistent_cap)
+    details["persistent_generators"] = generator_strings(ids.persistent_cap)
+    return same, details
+
+
+def _disjointness(ids: SchemeIdeals):
+    proj = projective_dimension(ideal_sum(ids.kupka, ids.residual))
+    return proj == -1, {"intersection_projective_dimension": proj}
+
+
+def _singular_consistency(ids: SchemeIdeals):
+    return _same_locus(ids.singular, ideal_intersection(ids.kupka, ids.residual))
+
+
+def verify_identities(ids: SchemeIdeals) -> CheckResult:
+    """Structural identities of the built form: descent (radial contraction
+    zero), integrability, decomposability (by construction in matrix mode,
+    a real condition on a raw lambda table), and a positive codimension of
+    the coefficient ideal."""
+    return _run(ids, [("identities", _identities)])[0]
 
 
 def verify_lemma(ids: SchemeIdeals, waive_preconditions: bool = False) -> CheckResult:
@@ -275,20 +330,17 @@ def verify_lemma(ids: SchemeIdeals, waive_preconditions: bool = False) -> CheckR
     With ``waive_preconditions`` the equality is still evaluated and the
     violation recorded alongside the outcome.
     """
-    t0 = time.perf_counter()
-    details = _precondition_details(ids, residues=False)
-    if not details["precondition_ok"] and not waive_preconditions:
-        return CheckResult("lemma", "skipped", details, time.perf_counter() - t0)
-    equal = ideal_equal(ids.persistent_sum, ids.persistent_cap)
-    details["ideals_equal"] = equal
-    details["sum_generators"] = generator_strings(ids.persistent_sum)
-    details["cap_generators"] = generator_strings(ids.persistent_cap)
-    status = "pass" if equal else "fail"
-    return CheckResult("lemma", status, details, time.perf_counter() - t0)
+    return _run(ids, [("lemma", _lemma)], _precondition_details(ids, residues=False),
+                waive_preconditions)[0]
 
 
-DECOMPOSITION_CHECKS = ("kupka-codimension", "residual-dimension", "kupka-formula",
-                        "disjointness", "singular-consistency")
+DECOMPOSITION_CHECKS = (
+    ("kupka-codimension", _kupka_codimension),
+    ("residual-dimension", _residual_dimension),
+    ("kupka-formula", _kupka_formula),
+    ("disjointness", _disjointness),
+    ("singular-consistency", _singular_consistency),
+)
 
 
 def verify_decomposition(ids: SchemeIdeals, waive_preconditions: bool = False) -> list:
@@ -296,8 +348,7 @@ def verify_decomposition(ids: SchemeIdeals, waive_preconditions: bool = False) -
 
     Sub-checks, each reported independently:
 
-    * kupka-codimension   the Kupka locus has projective codimension q+1
-                          (empty is accepted only in the degenerate s <= q case);
+    * kupka-codimension   the Kupka locus has projective codimension q+1;
     * residual-dimension  the residual locus has dimension <= q-1 or is empty;
     * kupka-formula       the Kupka locus equals the persistent locus
                           (mutual radical membership; exact ideal equality
@@ -312,72 +363,8 @@ def verify_decomposition(ids: SchemeIdeals, waive_preconditions: bool = False) -
     ``skipped`` and lists the violations; with ``waive_preconditions`` the
     sub-checks are still evaluated and carry the violations alongside.
     """
-    t0 = time.perf_counter()
-    pre = _precondition_details(ids, residues=True)
-    if not pre["precondition_ok"] and not waive_preconditions:
-        checks = [CheckResult(name, "skipped", dict(pre)) for name in DECOMPOSITION_CHECKS]
-        checks[0].seconds = time.perf_counter() - t0
-        return checks
-    # the hypotheses and any ideal not built yet are charged to the first sub-check
-    J, K, H = ids.singular, ids.kupka, ids.residual
-    n, q, s = ids.vs.n, ids.vs.q, ids.vs.s
-    checks = []
-
-    cone = krull_dimension(K)
-    proj = max(cone - 1, -1)
-    expected = n - (q + 1)
-    if proj == expected:
-        status = "pass"
-    elif proj == -1 and s <= q:
-        status = "pass"
-    else:
-        status = "fail"
-    checks.append(CheckResult("kupka-codimension", status, {
-        "cone_dimension": cone,
-        "projective_dimension": proj,
-        "expected_projective_dimension": expected,
-        "generators": generator_strings(K),
-    }, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    proj_h = projective_dimension(H)
-    status = "pass" if proj_h <= q - 1 else "fail"
-    checks.append(CheckResult("residual-dimension", status, {
-        "projective_dimension": proj_h,
-        "empty": proj_h == -1,
-        "bound": q - 1,
-        "generators": generator_strings(H),
-    }, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    same_locus, witness = radical_equal(K, ids.persistent_cap)
-    strict = ideal_equal(K, ids.persistent_cap)
-    details = {"radical_equal": same_locus, "ideals_equal": strict,
-               "persistent_generators": generator_strings(ids.persistent_cap)}
-    if witness:
-        details["witness"] = witness
-    checks.append(CheckResult("kupka-formula", "pass" if same_locus else "fail",
-                              details, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    union = ideal_sum(K, H)
-    proj_union = projective_dimension(union)
-    checks.append(CheckResult("disjointness", "pass" if proj_union == -1 else "fail", {
-        "intersection_projective_dimension": proj_union,
-    }, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    cover = ideal_intersection(K, H)
-    same, witness = radical_equal(J, cover)
-    details = {"radical_equal": same}
-    if witness:
-        details["witness"] = witness
-    checks.append(CheckResult("singular-consistency", "pass" if same else "fail",
-                              details, time.perf_counter() - t0))
-    if not pre["precondition_ok"]:
-        for check in checks:
-            check.details.update(pre)
-    return checks
+    return _run(ids, DECOMPOSITION_CHECKS, _precondition_details(ids, residues=True),
+                waive_preconditions)
 
 
 # Every entry maps (instance, waive_preconditions) to its results.  The
@@ -385,9 +372,9 @@ def verify_decomposition(ids: SchemeIdeals, waive_preconditions: bool = False) -
 # installed on a module-level name sees every call.
 CHECKS = {
     "identities": lambda ids, waive: [verify_identities(ids)],
-    "sing": lambda ids, waive: [_check_sing(ids)],
-    "kupka": lambda ids, waive: [_check_kupka(ids)],
-    "persistent": lambda ids, waive: [_check_persistent(ids)],
+    "sing": lambda ids, waive: _run(ids, [("sing", _sing)]),
+    "kupka": lambda ids, waive: _run(ids, [("kupka", _kupka)]),
+    "persistent": lambda ids, waive: _run(ids, [("persistent", _persistent)]),
     "lemma": lambda ids, waive: [verify_lemma(ids, waive)],
     "decomposition": lambda ids, waive: verify_decomposition(ids, waive),
 }

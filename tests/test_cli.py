@@ -412,14 +412,18 @@ def test_verify_reports_match_recorded_fixture(tmp_path, capsys):
     conics instance, rational divisor coefficients with custom variables,
     raw rational residues, a q=2 matrix arrangement on P^4 and one
     ``compute --which all``, each recorded with an earlier version of the
-    program.  An entry without a ``command`` is a ``verify`` run."""
+    program, plus the concurrent-lines instance, which breaks simple normal
+    crossings, under ``verify`` and ``verify --waive-preconditions``.  An
+    entry without a ``command`` is a ``verify`` run, and one without an
+    ``exit_code`` exits 0."""
     with open(FIXTURES, encoding="utf-8") as handle:
         recorded = json.load(handle)
     assert recorded["conics-p2"]["spec"] == CONICS_SPEC
     for label, entry in sorted(recorded.items()):
         spec = write_spec(tmp_path / f"{label}.json", entry["spec"])
         command = entry.get("command", ["verify"])
-        assert main(command + [spec, "--format", "machine"]) == EXIT_OK
+        code = main(command + [spec, "--format", "machine"])
+        assert code == entry.get("exit_code", EXIT_OK), label
         assert strip_timings(json.loads(capsys.readouterr().out)) == entry["report"], label
 
 

@@ -96,7 +96,7 @@ def test_kupka_of_closed_form_is_unit():
 def test_kupka_codim_two_instance():
     d_omega = exterior_derivative(OMEGA_P3_Q2)
     assert d_omega == PForm(4, 3, {(0, 1, 2): Poly.const(4, -6)})
-    K = kupka_ideal(OMEGA_P3_Q2)
+    K = kupka_ideal(OMEGA_P3_Q2, singular_ideal(OMEGA_P3_Q2))
     assert gens_of(K) == ["x0", "x1", "x2"]
 
 
@@ -264,6 +264,22 @@ def test_identities_check():
     assert result.details["integrable"]
     assert result.details["decomposable"]
     assert result.details["coefficient_ideal_projective_codim"] == 2
+
+
+def test_identities_check_decomposability_of_a_raw_lambda_table():
+    """A raw lambda table builds a 2-form whether or not it is decomposable,
+    so the identities check tests decomposability in both residue modes.
+    This table on six transversal hyperplanes of P^4 passes full-snc and is
+    not decomposable."""
+    values = {"1,2": 7, "1,3": 9, "1,4": 2, "1,5": 3, "1,6": -21, "2,3": 4, "2,4": -8,
+              "2,5": -1, "2,6": 12, "3,4": -6, "3,5": -4, "3,6": 23, "4,5": -3, "4,6": -9,
+              "5,6": -5}
+    lambdas = {tuple(int(i) - 1 for i in key.split(",")): v for key, v in values.items()}
+    divisors = variables(5) + [P("x0 + 2*x1 + 3*x2 + 5*x3 + 7*x4", 5)]
+    vs = validate_spec(FoliationSpec(4, 2, divisors, lambdas=lambdas), "full-snc")
+    result = verify_identities(SchemeIdeals(vs))
+    assert result.details["decomposable"] is False
+    assert result.status == "fail"
 
 
 # -- structural invariants --------------------------------------------------------------
