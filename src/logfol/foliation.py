@@ -135,28 +135,30 @@ class FoliationSpec:
         return itertools.combinations(range(self.s), self.q)
 
 
-def _det(matrix) -> Fraction:
-    """Determinant by expansion along the first row (small matrices only)."""
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total = Fraction(0)
-    for col in range(size):
-        sub = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        piece = matrix[0][col] * _det(sub)
-        total += piece if col % 2 == 0 else -piece
-    return total
+def _minor(rows, cols) -> int:
+    """The minor of an integer matrix on ``cols``, by ``_eliminate`` steps."""
+    m, sign, prev = [[row[c] for c in cols] for row in rows], 1, 1
+    while len(m) > 1:
+        k = next((i for i, row in enumerate(m) if row[0]), None)
+        if k is None:
+            return 0
+        m[0], m[k], sign = m[k], m[0], -sign if k else sign
+        m, prev = [row[1:] for row in _eliminate(m[1:], m[0], 0, prev)], m[0][0]
+    return sign * m[0][0]
 
 
 def lambda_table(spec: FoliationSpec) -> dict:
-    """Residue scalar for every q-subset: minors in matrix mode, as given in raw mode."""
+    """Residue scalar for every q-subset: minors in matrix mode, as given in raw mode.
+
+    The rows are cleared of denominators, each minor is taken over the
+    integers, and the product of the row scales is divided out at the end."""
     if spec.mode == "raw":
         return {subset: spec.lambdas.get(subset, Fraction(0)) for subset in spec.subsets()}
-    table = {}
-    for subset in spec.subsets():
-        minor = [[spec.residue_matrix[k][i] for i in subset] for k in range(spec.q)]
-        table[subset] = _det(minor)
-    return table
+    scales = [math.lcm(*(x.denominator for x in row)) for row in spec.residue_matrix]
+    rows = [[x.numerator * (d // x.denominator) for x in row]
+            for row, d in zip(spec.residue_matrix, scales)]
+    scale = math.prod(scales)
+    return {subset: Fraction(_minor(rows, subset), scale) for subset in spec.subsets()}
 
 
 @dataclass
@@ -225,14 +227,13 @@ def _linear_row(f: Poly):
     return row
 
 
-def _eliminate(row, head, col):
-    """``row`` cleared in column ``col`` by ``head``, made primitive; None stays None."""
-    if row is None or not row[col]:
-        return row
-    lead, factor = head[col], row[col]
-    row = [lead * a - factor * b for a, b in zip(row, head)]
-    content = math.gcd(*row)
-    return [a // content for a in row] if content > 1 else row
+def _eliminate(rows, head, col, prev):
+    """``rows`` after one fraction-free elimination step by ``head`` in column
+    ``col``, divided exactly by ``prev``, the pivot of the step before
+    (Bareiss, Math. Comp. 1968); a row None stays None."""
+    lead = head[col]
+    return [None if row is None else [(lead * a - row[col] * b) // prev for a, b in zip(row, head)]
+            for row in rows]
 
 
 def transversality_violations(divisors, arity, max_size) -> list:
@@ -243,14 +244,15 @@ def transversality_violations(divisors, arity, max_size) -> list:
     height |K| or defines the empty projective locus.  One depth-first walk
     visits the subsets in increasing index order.  Each node holds the
     integer rows of the later linear divisors reduced against the echelon
-    form of its own, so a child costs one elimination step per later row and
-    raises the height when its reduced row is nonzero.  A subset holding a
-    divisor of higher degree goes through a Groebner basis.
+    form of its own by fraction-free elimination, so a child costs one
+    elimination step per later row and raises the height when its reduced
+    row is nonzero.  A subset holding a divisor of higher degree goes through
+    a Groebner basis.
     """
     bad = []
 
-    def visit(subset, height, rest, mixed):
-        # rest: (j, row) for each divisor after the subset, row None when not linear
+    def visit(subset, height, rows, mixed, prev):
+        # rows: one for each divisor after the subset, None when not linear
         size = len(subset)
         if size >= 2:
             if mixed:
@@ -259,14 +261,16 @@ def transversality_violations(divisors, arity, max_size) -> list:
                 bad.append((subset, height))
         if size == max_size:
             return
-        for k, (j, row) in enumerate(rest):
-            later = rest[k + 1:]
-            col = None if mixed or row is None else next((c for c, a in enumerate(row) if a), None)
-            if col is not None and size + 1 < max_size:
-                later = [(i, _eliminate(r, row, col)) for i, r in later]
-            visit(subset + (j,), height + (col is not None), later, mixed or row is None)
+        start = subset[-1] + 1 if subset else 0
+        for k, row in enumerate(rows):
+            later = rows[k + 1:]
+            lead = None if mixed or row is None else next(filter(None, row), None)
+            if lead and size + 1 < max_size:  # pivot on the first nonzero entry
+                later = _eliminate(later, row, row.index(lead), prev)
+            visit(subset + (start + k,), height + bool(lead), later, mixed or row is None,
+                  lead or prev)
 
-    visit((), 0, [(j, _linear_row(f)) for j, f in enumerate(divisors)], False)
+    visit((), 0, [_linear_row(f) for f in divisors], False, 1)
     return sorted(bad, key=lambda item: (len(item[0]), item[0]))
 
 

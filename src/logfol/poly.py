@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
-
-_ONE = Fraction(1)
+from operator import mul
 
 _BITS = 7  # value bits of a field at the narrowest width; wider ones double it
 
@@ -88,7 +88,7 @@ class _Layout:
         """Packed monomial; the total degree bounds every field."""
         if sum(exps) > self.cap:
             raise _Overflow
-        return sum([e * w for e, w in zip(exps, self.weights)])
+        return sum(map(mul, exps, self.weights))
 
     def unpack(self, p: int) -> tuple:
         cap = self.cap
@@ -160,6 +160,15 @@ def _make(layout: _Layout, num: dict, den: int = 1) -> "Poly":
     return out
 
 
+def _from_terms(arity: int, terms: dict) -> "Poly":
+    """The canonical polynomial of nonzero int or ``Fraction`` coefficients
+    keyed by exponent tuples of length ``arity``."""
+    den = lcm(*[c.denominator for c in terms.values()])  # a list: see _Parser.product
+    layout = _layout(GREVLEX, arity, _width(max(map(sum, terms), default=0)))
+    return _make(layout, {layout.pack(m): c.numerator * (den // c.denominator)
+                          for m, c in terms.items()}, den)
+
+
 def _aligned(polys) -> tuple:
     """(layout, numerators) of polynomials of one arity at their widest width."""
     layout = max((p.layout for p in polys), key=lambda lay: lay.bits)
@@ -207,10 +216,7 @@ class Poly:
                 raise ValueError(f"negative exponent in {mono}")
             if coeff:
                 clean[tuple(mono)] = coeff
-        den = lcm(*(c.denominator for c in clean.values()))
-        layout = _layout(GREVLEX, arity, _width(max(map(sum, clean), default=0)))
-        canon = _make(layout, {layout.pack(m): c.numerator * (den // c.denominator)
-                               for m, c in clean.items()}, den)
+        canon = _from_terms(arity, clean)
         self.arity, self.layout, self.num, self.den = arity, canon.layout, canon.num, canon.den
 
     # -- constructors -------------------------------------------------------
@@ -221,11 +227,7 @@ class Poly:
 
     @staticmethod
     def const(arity: int, value) -> "Poly":
-        if arity < 1 or not isinstance(value, (int, Fraction)):
-            return Poly(arity, {(0,) * arity: value})  # raises the constructor's error
-        value = Fraction(value)
-        return _make(_layout(GREVLEX, arity, _BITS), {0: value.numerator} if value else {},
-                     value.denominator)
+        return Poly(arity, {(0,) * arity: value})
 
     @staticmethod
     def one(arity: int) -> "Poly":
@@ -253,12 +255,6 @@ class Poly:
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
         return max(self.num) >> self.layout.degshift if self.num else -1
-
-    def constant_value(self):
-        """The coefficient when the polynomial is constant, else None."""
-        if set(self.num) <= {0}:
-            return Fraction(self.num.get(0, 0), self.den)
-        return None
 
     def leading(self):
         """Leading (exponent tuple, coefficient) pair under grevlex."""
@@ -413,54 +409,43 @@ _MAX_DEPTH = 100
 # it stays bounded work.
 _MAX_POWER_TERMS = 1000
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+# One token per match: an integer literal, a name or an operator; any other
+# character matches neither group.  A match starts where the last one ended.
+_digit_limit = getattr(sys, "get_int_max_str_digits", int)  # 0: no limit
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*|[+\-*/^()])|\S)")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].lstrip()
-            if not tail:
-                break
-            raise PolyParseError(f"unexpected character {tail[0]!r} at position {pos}")
-        if m.group(1) is not None:
-            digits = m.group(1)
-            try:
-                tokens.append(("int", int(digits)))
-            except ValueError:  # past Python's limit on digits converted
-                raise PolyParseError(f"integer literal of {len(digits)} digits "
-                                     f"at position {m.start(1)} is too long") from None
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
+def _tokenize(text: str) -> list:
+    """Integer literals as ints, names and operators as strings, then two
+    Nones, so the parser can look one token past any token but the last."""
+    try:
+        tokens = [int(digits) if digits else word for digits, word in _TOKEN.findall(text)]
+    except ValueError:  # past Python's limit on digits converted
+        tokens = [""]
+    if "" in tokens:  # scan again for the position of the first bad token
+        for m in _TOKEN.finditer(text):
+            if m[1] and len(m[1]) > _digit_limit() > 0:
+                raise PolyParseError(f"integer literal of {len(m[1])} digits "
+                                     f"at position {m.start(1)} is too long")
+            if not (m[1] or m[2]):
+                raise PolyParseError(f"unexpected character {m[0].lstrip()!r} "
+                                     f"at position {m.start()}")
+    tokens += (None, None)
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens into term tables: fresh dicts of
+    exponent tuples to nonzero int or ``Fraction`` coefficients."""
+
     def __init__(self, tokens, arity, names):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-        self.arity = arity
+        self.tokens, self.pos, self.depth = tokens, 0, 0
         if names is None:
-            self.var_index = {f"x{i}": i for i in range(arity)}
-        else:
-            if len(names) != arity:
-                raise PolyParseError(f"expected {arity} variable names, got {len(names)}")
-            self.var_index = {name: i for i, name in enumerate(names)}
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+            names = [f"x{i}" for i in range(arity)]
+        elif len(names) != arity:
+            raise PolyParseError(f"expected {arity} variable names, got {len(names)}")
+        self.index = {name: i for i, name in enumerate(names)}
+        self.one, self.digits = (0,) * arity, _digit_limit()
 
     def nested(self, parse):
         """``parse()`` one level of nesting deeper."""
@@ -471,84 +456,110 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def parse(self) -> Poly:
-        poly = self.expression()
-        if self.pos != len(self.tokens):
-            raise PolyParseError(f"trailing input at token {self.peek()[1]!r}")
-        return poly
+    def printable(self, table: dict) -> dict:
+        """``table``, unless ``str`` cannot convert a numerator or denominator: it has
+        more digits than Python's limit (at most 3 * limit bits is below 8^limit)."""
+        limit = self.digits
+        for n in (part for c in table.values() for part in (c.numerator, c.denominator)):
+            if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+                raise PolyParseError(f"a coefficient has more than {limit} digits")
+        return table
 
-    def expression(self) -> Poly:
-        terms, signs = [self.term()], [1]
-        while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "+-":
-                self.take()
-                terms.append(self.term())
-                signs.append(1 if op == "+" else -1)
-            else:
-                return _signed_sum(terms, signs)
+    def product(self, a: dict, b: dict) -> dict:
+        """The product of two term tables, through ``Poly`` unless one is a
+        monomial; a monomial of coefficient 1 or -1 grows no coefficient."""
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            (mono, coeff), = b.items()
+            # from a list, not an iterator: CPython resizes a tuple built from an
+            # iterator, and its free lists then keep one block per call
+            table = {tuple([i + j for i, j in zip(m, mono)]): c * coeff for m, c in a.items()}
+            return table if coeff in (1, -1) else self.printable(table)
+        arity = len(self.one)
+        return self.printable((_from_terms(arity, a) * _from_terms(arity, b)).terms)
 
-    def term(self) -> Poly:
+    def expression(self) -> dict:
+        value = self.term()
+        while self.tokens[self.pos] in ("+", "-"):
+            sign = 1 if self.tokens[self.pos] == "+" else -1
+            self.pos += 1
+            for m, c in self.term().items():
+                value[m] = value.get(m, 0) + sign * c
+        return {m: c for m, c in value.items() if c}
+
+    def term(self) -> dict:
         value = self.unary()
-        while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "*/":
-                self.take()
-                rhs = self.unary()
-                if op == "*":
-                    value = value * rhs
-                else:
-                    c = rhs.constant_value()
-                    if c is None:
-                        raise PolyParseError("division is only allowed by nonzero constants")
-                    if not c:
-                        raise PolyParseError("division by zero")
-                    value = value * (_ONE / c)
-            else:
-                return value
+        while self.tokens[self.pos] in ("*", "/"):
+            op = self.tokens[self.pos]
+            self.pos += 1
+            factor = self.unary()
+            if op == "/":
+                if factor.keys() - {self.one}:
+                    raise PolyParseError("division is only allowed by nonzero constants")
+                if not factor:
+                    raise PolyParseError("division by zero")
+                factor = {self.one: Fraction(1) / factor[self.one]}
+            value = self.product(value, factor)
+        return value
 
-    def unary(self) -> Poly:
-        kind, op = self.peek()
-        if kind == "op" and op in "+-":
-            self.take()
+    def unary(self) -> dict:
+        op = self.tokens[self.pos]
+        if op == "+" or op == "-":
+            self.pos += 1
             value = self.nested(self.unary)
-            return value if op == "+" else -value
+            return value if op == "+" else {m: -c for m, c in value.items()}
         return self.power()
 
-    def power(self) -> Poly:
+    def power(self) -> dict:
         base = self.atom()
-        kind, op = self.peek()
-        if kind == "op" and op == "^":
-            self.take()
-            kind, value = self.take()
-            if kind == "op" and value == "-":
-                raise PolyParseError("exponent must be a non-negative integer")
-            if kind != "int":
-                raise PolyParseError(f"expected integer exponent, got {value!r}")
-            terms = len(base.num)
-            if terms > 1 and comb(value + terms - 1, terms - 1) > _MAX_POWER_TERMS:
-                raise PolyParseError(f"a {terms}-term base to the power {value} can expand "
-                                     f"to more than {_MAX_POWER_TERMS} terms")
-            return base ** value
-        return base
+        if self.tokens[self.pos] != "^":
+            return base
+        k = self.tokens[self.pos + 1]
+        self.pos += 2
+        if k == "-":
+            raise PolyParseError("exponent must be a non-negative integer")
+        if type(k) is not int:
+            raise PolyParseError(f"expected integer exponent, got {k!r}")
+        terms = len(base)
+        if terms > 1 and comb(k + terms - 1, terms - 1) > _MAX_POWER_TERMS:
+            raise PolyParseError(f"a {terms}-term base to the power {k} can expand "
+                                 f"to more than {_MAX_POWER_TERMS} terms")
+        # base = (sum of N_i x^a_i) / den, so no part of a coefficient of base^k
+        # exceeds height^k, which is formed only when below 2^(8 * limit)
+        den = lcm(*(c.denominator for c in base.values()))
+        height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in base.values()))
+        limit = self.digits
+        if limit and height > 1 and (k * (height.bit_length() - 1) > 4 * limit
+                                     or height ** k >= 10 ** limit):
+            raise PolyParseError(f"a {terms}-term base to the power {k} can have "
+                                 f"coefficients of more than {limit} digits")
+        if terms == 1:
+            (mono, coeff), = base.items()
+            return {tuple([e * k for e in mono]): coeff ** k}
+        return (_from_terms(len(self.one), base) ** k).terms
 
-    def atom(self) -> Poly:
-        kind, value = self.take()
-        if kind is None:
-            raise PolyParseError("unexpected end of input")
-        if kind == "int":
-            return Poly.const(self.arity, value)
-        if kind == "name":
-            if value not in self.var_index:
-                raise PolyParseError(f"unknown variable {value!r}")
-            return Poly.variable(self.arity, self.var_index[value])
-        if kind == "op" and value == "(":
+    def atom(self) -> dict:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            return {self.one: tok} if tok else {}
+        if tok == "(":
             inner = self.nested(self.expression)
-            kind, value = self.take()
-            if (kind, value) != ("op", ")"):
-                raise PolyParseError(f"expected ')', got {value!r}")
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            if tok != ")":
+                raise PolyParseError(f"expected ')', got {tok!r}")
             return inner
-        raise PolyParseError(f"unexpected token {value!r}")
+        if tok is None:
+            raise PolyParseError("unexpected end of input")
+        if tok in "+-*/^)":
+            raise PolyParseError(f"unexpected token {tok!r}")
+        if tok not in self.index:
+            raise PolyParseError(f"unknown variable {tok!r}")
+        mono = list(self.one)
+        mono[self.index[tok]] = 1
+        return {tuple(mono): 1}
 
 
 def parse_poly(text: str, arity: int, names=None) -> Poly:
@@ -558,9 +569,13 @@ def parse_poly(text: str, arity: int, names=None) -> Poly:
     ``names`` to accept a different set of identifiers instead.
     """
     tokens = _tokenize(text)
-    if not tokens:
+    if len(tokens) == 2:
         raise PolyParseError("empty polynomial expression")
-    return _Parser(tokens, arity, names).parse()
+    parser = _Parser(tokens, arity, names)
+    table = parser.printable(parser.expression())
+    if tokens[parser.pos] is not None:
+        raise PolyParseError(f"trailing input at token {tokens[parser.pos]!r}")
+    return _from_terms(arity, table)
 
 
 def poly_to_str(p: Poly, names=None) -> str:

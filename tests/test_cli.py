@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from logfol import cli, foliation, groebner, schemes
+from logfol import cli, foliation, groebner, poly, schemes
 from logfol.cli import (
     EXIT_CHECKS,
     EXIT_IO,
@@ -48,6 +48,15 @@ LINEAR_P4_SPEC = {
 }
 REPEATED_P4_SPEC = dict(LINEAR_P4_SPEC, divisors=LINEAR_P4_SPEC["divisors"][:5] + ["-2*x3"])
 
+# the six coordinate hyperplanes of P^5 and a dense one
+LINEAR_P5_SPEC = {
+    "n": 5,
+    "q": 1,
+    "divisors": ["x0", "x1", "x2", "x3", "x4", "x5", "-3*x0 + 2*x1 - x2 + 5*x3 - 7*x4 + 4*x5"],
+    "residue_matrix": [[1, 2, 3, 4, 5, 6, -21]],
+    "validation_level": "full-snc",
+}
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "verify_reports.json")
 
 
@@ -71,6 +80,9 @@ MALFORMED_SPECS = {
         dict(LINEAR_P4_SPEC,
              divisors=["x0", "(x0+2*x1+3*x2+5*x3)^50"] + LINEAR_P4_SPEC["divisors"][2:]),
         "divisor 2: a 4-term base to the power 50 can expand to more than 1000 terms"),
+    "divisor-coefficient-of-6021-digits": (
+        dict(GOOD_SPEC, divisors=["2^20000*x0 + x1", "x1", "x2"]),
+        "divisor 1: a 1-term base to the power 20000 can have coefficients of more than"),
     # raw text: json.dumps cannot write an integer past Python's digit limit
     "matrix-entry-of-5000-digits": (
         json.dumps(GOOD_SPEC).replace("-3]]", "-" + "9" * 5000 + "]]"),
@@ -135,7 +147,7 @@ def test_bad_polynomial_exits_one(tmp_path, capsys):
     payload = dict(GOOD_SPEC, divisors=["x0 +", "x1", "x2"])
     assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
     for label in ("divisor-200-parentheses-deep", "divisor-5000-signs-deep",
-                  "divisor-power-of-23426-terms"):
+                  "divisor-power-of-23426-terms", "divisor-coefficient-of-6021-digits"):
         payload, message = MALFORMED_SPECS[label]
         assert main(["verify", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
         assert f"error: {message}" in capsys.readouterr().err
@@ -372,6 +384,22 @@ def test_check_on_linear_spec_runs_no_groebner_basis(tmp_path, monkeypatch, caps
         assert main(["check", write_spec(tmp_path / "p4.json", payload)]) == expected
         assert calls == {"transversality_violations": 1}
     assert "subset {4,6}: intersection has codimension 1" in capsys.readouterr().out
+
+
+def test_linear_divisors_make_one_poly_each_and_no_basis(tmp_path, monkeypatch):
+    """Counted work, no wall clock: a linear form, or a sum of products of
+    integers and variables to integer powers, parses into one canonical Poly,
+    not one per term or factor, and a full-snc check of hyperplanes on P^5
+    makes one Poly per divisor and no Groebner run."""
+    calls = count_calls(monkeypatch, ((poly, "_make"), (groebner, "groebner_terms")))
+    form = poly.parse_poly(LINEAR_P5_SPEC["divisors"][-1], 6)
+    assert calls == {"_make": 1} and len(form.num) == 6
+    calls.clear()
+    form = poly.parse_poly("-3*x0^2*x1*2 + x2^3/4 - 7^2*x3*x4^0*x5^2 + (x1)^2*-x0", 6)
+    assert calls == {"_make": 1} and len(form.num) == 4
+    calls.clear()
+    assert main(["check", write_spec(tmp_path / "p5.json", LINEAR_P5_SPEC)]) == EXIT_OK
+    assert calls == {"_make": len(LINEAR_P5_SPEC["divisors"])}
 
 
 def test_check_on_quadric_spec_runs_jacobian_bases(tmp_path, monkeypatch):

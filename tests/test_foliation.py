@@ -5,10 +5,12 @@ from functools import reduce
 
 import pytest
 
+from logfol import foliation
 from logfol.foliation import (
     FoliationSpec,
     SpecValidationError,
     build_form,
+    degenerate_strata,
     factor_forms,
     lambda_table,
     transversality_violations,
@@ -232,6 +234,62 @@ def test_build_form_codim_one_instance():
     assert omega == PForm(3, 1, {(0,): x[1] * x[2], (1,): 2 * x[0] * x[2],
                                  (2,): -3 * x[0] * x[1]})
     assert radial_contraction(omega).is_zero
+
+
+def laplace(matrix) -> Fraction:
+    """Determinant by expansion along the first row, on Fractions."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum((-1) ** c * matrix[0][c] * laplace([row[:c] + row[c + 1:] for row in matrix[1:]])
+               for c in range(len(matrix)))
+
+
+def test_minors_match_a_laplace_oracle():
+    """Integer-elimination minors equal Fraction Laplace expansion for q = 1..4,
+    on rational matrices with zero pivots, repeated columns and dependent rows."""
+    rng = random.Random(2208)
+    zero_minors = pivot_swaps = 0
+    for q in range(1, 5):
+        for trial in range(16):
+            s = q + rng.randint(1, 3)
+            matrix = [[Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+                       for _ in range(s)] for _ in range(q)]
+            if trial % 4 == 1:  # a column repeated up to a factor: some minors vanish
+                j, k = rng.sample(range(s), 2)
+                for row in matrix:
+                    row[k] = row[j] * rng.choice([-2, Fraction(1, 3), 1])
+            elif trial % 4 == 2 and q > 1:  # a dependent row: every minor vanishes
+                matrix[-1] = [a - Fraction(3, 2) * b for a, b in zip(matrix[0], matrix[1])]
+            elif trial % 4 == 3:  # zeros in the first row force pivot swaps
+                for j in rng.sample(range(s), s // 2 + 1):
+                    matrix[0][j] = Fraction(0)
+                pivot_swaps += 1
+            spec = coordinate_spec(max(s - 1, q + 1), q, s, matrix)
+            expected = {I: laplace([[row[i] for i in I] for row in matrix])
+                        for I in itertools.combinations(range(s), q)}
+            table = lambda_table(spec)
+            assert table == expected
+            assert all(type(value) is Fraction for value in table.values())
+            strata = [K for K in itertools.combinations(range(s), q + 1)
+                      if sum((-1) ** k * expected[K[:k] + K[k + 1:]] for k in range(q + 1)) == 0]
+            assert degenerate_strata(table, q, s) == strata
+            zero_minors += sum(value == 0 for value in expected.values())
+    assert zero_minors > 50 and pivot_swaps == 16
+
+
+def test_walk_rows_stay_minors(monkeypatch):
+    """The walk divides each elimination step by the pivot before it, so its
+    rows hold minors of the divisor coefficients and stay below Hadamard's
+    bound, where undivided rows would double in size with every step."""
+    rng = random.Random(11)
+    forms = [Poly(8, {tuple(int(i == j) for j in range(8)): rng.choice([-9, -7, 5, 8, 9])
+                      for i in range(8)}) for _ in range(10)]
+    widest = []
+    eliminate = foliation._eliminate
+    monkeypatch.setattr(foliation, "_eliminate", lambda *args: widest.extend(
+        max(map(abs, row)).bit_length() for row in eliminate(*args)) or eliminate(*args))
+    assert transversality_violations(forms, 8, 8) == []
+    assert len(widest) > 1000 and max(widest) <= 38  # 8 x 8 minors: (9 * sqrt(8))^8 < 2^38
 
 
 def test_build_form_codim_two_minors():

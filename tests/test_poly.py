@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,11 +84,104 @@ def test_power_expansion_is_bounded():
     assert parse_poly("(0*x0)^5000 + (3)^50", 2) == Poly.const(2, 3 ** 50)
 
 
+def test_coefficient_size_is_bounded():
+    """A power or product whose coefficients could need more digits than
+    ``str`` converts (4300 by default) is refused before it is formed."""
+    for text in ("2^20000*x0 + x1", "3^99999999", "(2*x0)^99999", "(x0 + 10^400*x1)^20"):
+        with pytest.raises(PolyParseError, match="can have coefficients of more than 4300 digits"):
+            parse_poly(text, 2)
+    for text in ("9" * 3000 + "*" + "9" * 3000 + "*x0", "x0/" + "7" * 3000 + "/" + "7" * 3000,
+                 "9" * 4300 + " + " + "9" * 4300):
+        with pytest.raises(PolyParseError, match="a coefficient has more than 4300 digits"):
+            parse_poly(text, 2)
+    for text in ("9" * 4300, "3^9000*x0", "1/" + "7" * 4300 + "*x1", "(x0 + 2*x1)^999",
+                 "x0^99999", "(x0^2)^99999999"):
+        assert parse_poly(poly_to_str(parse_poly(text, 2)), 2) == parse_poly(text, 2)
+
+
+def random_expression(rng, names, symbols):
+    """(text, SymPy value) of a random expression over ``names``: integers,
+    a/b rationals, variables, powers, parentheses, unary signs, products and
+    quotients by nonzero constants."""
+    def atom(depth):
+        kind = rng.randrange(4 if depth < 2 else 3)
+        if kind == 0:
+            n = rng.randint(0, 12)
+            return str(n), sympy.Integer(n)
+        if kind == 1:
+            i = rng.randrange(len(names))
+            return names[i], symbols[i]
+        if kind == 2:
+            a, b = rng.randint(-9, 9), rng.randint(1, 9)
+            return f"({a}/{b})", sympy.Rational(a, b)
+        text, value = expression(depth + 1)
+        return f"({text})", value
+
+    def factor(depth):
+        if rng.random() < 0.15:
+            sign = rng.choice("+-")
+            text, value = factor(depth)
+            return sign + text, value if sign == "+" else -value
+        text, value = atom(depth)
+        if rng.random() < 0.3:
+            k = rng.randint(0, 2 if text.startswith("(") else 4)
+            return f"{text}^{k}", value ** k
+        return text, value
+
+    def term(depth):
+        text, value = factor(depth)
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.3:
+                a, b = rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 4)
+                if a > 0 and b == 1:
+                    text, value = f"{text}/{a}", value / a
+                else:
+                    text, value = f"{text} / ({a}/{b})", value / sympy.Rational(a, b)
+            else:
+                other, v = factor(depth)
+                text, value = f"{text}*{other}", value * v
+        return text, value
+
+    def expression(depth):
+        text, value = term(depth)
+        for _ in range(rng.randint(0, 3)):
+            other, v = term(depth)
+            op = rng.choice(["+", "-", " + ", " - "])
+            text, value = text + op + other, value + v if "+" in op else value - v
+        return text, value
+
+    return expression(0)
+
+
+def test_parser_matches_sympy_expansion():
+    """Random expressions parse to SymPy's expansion, rebuilt through the
+    ``Poly`` constructor, at the same layout width."""
+    rng = random.Random(2208)
+    name_sets = [None, ["u", "v", "w_2"], ["x2", "x0", "x1"], ["a", "b", "c", "d"]]
+    for case in range(300):
+        names = name_sets[case % len(name_sets)]
+        arity = 3 if names is None else len(names)
+        shown = names or [f"x{i}" for i in range(arity)]
+        symbols = sympy.symbols(f"s0:{arity}")
+        text, value = random_expression(rng, shown, symbols)
+        terms = sympy.Poly(sympy.expand(value), *symbols).terms()
+        expected = Poly(arity, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+        parsed = parse_poly(text, arity, names)
+        assert parsed == expected, text
+        assert parsed.layout is expected.layout, text
+
+
 def test_parse_custom_names():
     p = parse_poly("u*v - w^2", 3, names=["u", "v", "w"])
     assert p == P("x0*x1 - x2^2", 3)
     with pytest.raises(PolyParseError):
         parse_poly("x0", 3, names=["u", "v", "w"])
+    # a name the tokenizer reads as an operator never acts as a variable
+    assert parse_poly("a*-b", 3, names=["a", "b", "-"]) == P("-x0*x1", 3)
+    with pytest.raises(PolyParseError, match="unexpected token '\\*'"):
+        parse_poly("a**b", 3, names=["a", "*", "b"])
+    with pytest.raises(PolyParseError, match="unexpected token '\\^'"):
+        parse_poly("a*^", 2, names=["a", "^"])
 
 
 def test_print_parse_roundtrip_random():
