@@ -239,7 +239,10 @@ def plucker_check(a: PForm) -> bool:
 
     Requires (i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi;
     linearity over functions makes the coordinate multivectors sufficient.
+    A 1-form passes without a product: a ∧ a = 0 by antisymmetry.
     """
+    if a.degree == 1:
+        return True
     return _wedge_test(a, lambda form: form, "decomposability")
 
 

@@ -12,9 +12,13 @@ criteria.  Everything else in the module reduces to it:
   reduced basis of the answer.  I ∩ J is the e0 part of the submodule
   generated by f*e1 for f in I and g*(e1 + e0) for g in J, and I : g that
   of f*e1 for f in I and g*e1 + e0,
+* a run may be given known entries, a Groebner basis already, which make
+  no S-pairs among themselves: a colon or an intersection seeds the cached
+  reduced basis of I at e1 that way,
 * ``module_annihilator`` is the one colon by an ideal: it intersects the
-  colons by its components and skips each one that the intersection so
-  far already lies in,
+  colons by its components, densest first, and skips each one that the
+  intersection so far already lies in, testing only the generators of that
+  intersection outside I,
 * saturation iterates ``module_annihilator`` to a fixed point, and f lies
   in the radical of I exactly when I : f^infinity is the unit ideal,
 * Krull dimension is the number of variables less the fewest variables
@@ -32,8 +36,10 @@ the fieldwise maximum of its tail.  ``_reduce`` is fraction-free: it scales the 
 polynomial by ``lc/gcd`` before subtracting ``c/gcd`` times a shifted
 entry, and keeps the product of those factors, so that ``remainder /
 scale`` is the exact rational normal form.  x^a e_i divides x^b e_j exactly
-when ``(b - a) & divmask`` is zero, S-pairs are formed only of leading
-terms at the same position, and one guard-bit test of ``shift + top``
+when ``(b - a) & divmask`` is zero, so S-pairs are formed only of leading
+terms at the same position, and the engine keeps its entries grouped by
+position, so that ``_reduce`` scans only the group of the popped
+monomial's position for a divisor.  One guard-bit test of ``shift + top``
 before a shifted tail is formed catches any field that would overflow;
 the computation then starts again at twice the field width.
 
@@ -76,18 +82,21 @@ def _entry(terms: dict, layout: _Layout) -> tuple:
     return lm, terms[lm] // content, tail, layout.fieldmax(m for m, _ in tail)
 
 
-def _reduce(terms: dict, basis: list, layout: _Layout) -> tuple:
+def _reduce(terms: dict, groups: list, layout: _Layout) -> tuple:
     """Fraction-free full reduction of ``terms`` modulo basis entries.
 
-    Returns ``(remainder, scale)``: ``scale > 0`` and ``scale*terms -
-    remainder`` lies in the ideal of the entries, so ``remainder / scale``
-    is the rational normal form.  Monomials are processed from the largest
-    down; every step only creates strictly smaller monomials, so each
-    monomial is handled once, and its coefficient is final when it is
-    popped.  A final term records the scale at that moment and is brought
-    to the last scale at the end.
+    ``groups[k]`` holds the entries whose leading monomial is at position
+    k (grevlex has the one position 0); only they can divide a monomial at
+    position k, so a popped monomial scans its own group alone.  Returns
+    ``(remainder, scale)``: ``scale > 0`` and ``scale*terms - remainder``
+    lies in the module of the entries, so ``remainder / scale`` is the
+    rational normal form.  Monomials are processed from the largest down;
+    every step only creates strictly smaller monomials, so each monomial is
+    handled once, and its coefficient is final when it is popped.  A final
+    term records the scale at that moment and is brought to the last scale
+    at the end.
     """
-    guard, mask, rev = layout.guard, layout.divmask, layout.rev
+    guard, mask, rev, at = layout.guard, layout.divmask, layout.rev, layout.top
     work = dict(terms)
     heap = [m ^ rev for m in work]
     heapify(heap)
@@ -98,7 +107,7 @@ def _reduce(terms: dict, basis: list, layout: _Layout) -> tuple:
         c = work.pop(m, 0)
         if not c:
             continue
-        for lm, lc, tail, top in basis:
+        for lm, lc, tail, top in groups[m >> at]:
             shift = m - lm
             if shift & mask:
                 continue
@@ -153,37 +162,43 @@ def _spoly(f: tuple, g: tuple, lcm_fg: int, guard: int) -> dict:
     return out
 
 
-def _buchberger(seed: list, layout: _Layout):
+def _buchberger(seed: list, layout: _Layout, known: list):
     """Reduced basis entries of the ideal or module of packed integer
-    polynomials, in increasing order of leading monomial, or None when it
-    contains 1 (1*e0 in a module)."""
-    flip, guard, mask = layout.flip, layout.guard, layout.divmask
+    polynomials ``known + seed``, in increasing order of leading monomial,
+    or None when it contains 1 (1*e0 in a module).  ``known`` is a Groebner
+    basis already: its entries go in as they are and make no S-pairs among
+    themselves."""
+    flip, guard, mask, at = layout.flip, layout.guard, layout.divmask, layout.top
     basis = []        # entries (lm, lc, tail, top)
     lms = []          # their leading monomials, for divisibility scans
-    positions = {}    # position -> indices of the entries whose lm is there
+    groups = [[] for _ in range(layout.positions)]   # position -> its entries
+    indices = [[] for _ in range(layout.positions)]  # position -> their indices
     pairs = []        # heap of (lcm degree, lcm key, i, j)
     pending = set()   # pairs not yet treated, for the chain criterion
 
-    def add(terms: dict) -> bool:
+    def add(entry: tuple, pair: bool = True) -> bool:
         """Adds an entry; True when its leading monomial is 1."""
-        entry = _entry(terms, layout)
         lm = entry[0]
         if not lm:
             return True
         j = len(basis)
-        same = positions.setdefault(lm >> layout.top, [])
-        for i in same:  # S-pairs only of leading terms at the same position
+        same = indices[lm >> at]
+        for i in same if pair else ():  # S-pairs only at the same position
             lcm_ij, degree = layout.lcm(lms[i], lm)
             heappush(pairs, (degree, lcm_ij ^ flip, i, j))
             pending.add((i, j))
         same.append(j)
+        groups[lm >> at].append(entry)
         basis.append(entry)
         lms.append(lm)
         return False
 
+    for g in known:
+        if add(_entry(g, layout), pair=False):
+            return None
     for g in seed:
-        r, _ = _reduce(g, basis, layout)
-        if r and add(r):
+        r, _ = _reduce(g, groups, layout)
+        if r and add(_entry(r, layout)):
             return None
 
     while pairs:
@@ -194,39 +209,44 @@ def _buchberger(seed: list, layout: _Layout):
             # coprime leading terms at e0 (never at e1, where the sum holds
             # position 2): the S-polynomial reduces to zero
             continue
-        for k, lm_k in enumerate(lms):
-            if k != i and k != j and not (lcm_ij - lm_k) & mask:
+        for k in indices[lcm_ij >> at]:
+            if k != i and k != j and not (lcm_ij - lms[k]) & mask:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
                     break
         else:
-            r, _ = _reduce(_spoly(basis[i], basis[j], lcm_ij, guard), basis, layout)
-            if r and add(r):
+            r, _ = _reduce(_spoly(basis[i], basis[j], lcm_ij, guard), groups, layout)
+            if r and add(_entry(r, layout)):
                 return None
 
     # minimal basis: drop entries whose leading monomial another one divides
     kept = []
+    groups = [[] for _ in range(layout.positions)]
     for entry in sorted(basis, key=lambda e: e[0] ^ flip):
         if all((entry[0] - k[0]) & mask for k in kept):
             kept.append(entry)
+            groups[entry[0] >> at].append(entry)
 
-    # inter-reduce tails; leading monomials are untouched by construction
+    # inter-reduce tails; leading monomials are untouched by construction,
+    # and no entry divides a monomial of its own tail, which is smaller
     out = []
-    for entry in kept:
-        lm, lc, tail, _ = entry
-        rem, scale = _reduce(dict(tail), [e for e in kept if e is not entry], layout)
+    for lm, lc, tail, _ in kept:
+        rem, scale = _reduce(dict(tail), groups, layout)
         out.append((lm, lc * scale, rem))
     return out
 
 
-def groebner_terms(generators: list[dict], layout: _Layout) -> tuple:
+def groebner_terms(generators: list[dict], layout: _Layout, known: list = ()) -> tuple:
     """Reduced Groebner basis of the ideal generated by packed polynomials,
     under the order of ``layout`` (named by ``layout.name``); under
     ``ELIMINATION``, of the submodule of R*e1 + R*e0 they generate.
 
     ``generators`` map monomials packed by ``layout`` to integers; a
-    generator stands for any nonzero rational multiple of itself.  Returns
+    generator stands for any nonzero rational multiple of itself.  ``known``
+    are more generators, packed alike, that form a Groebner basis of what
+    they span already (a cached basis): they make no S-pairs among
+    themselves.  Returns
     ``(run, elements)``: ``run`` is the layout of the same order at the
     width the computation finished in (``layout`` itself when nothing
     overflowed), and ``elements`` are the monic, fully inter-reduced basis
@@ -245,7 +265,8 @@ def groebner_terms(generators: list[dict], layout: _Layout) -> tuple:
             packed = [g if run is layout else _repack(g, layout, run) for g in seed]
             # deterministic seed order: by leading monomial, then size
             packed.sort(key=lambda g: (max(m ^ run.flip for m in g), len(g)))
-            reduced = _buchberger(packed, run)
+            basis = [g if run is layout else _repack(g, layout, run) for g in known]
+            reduced = _buchberger(packed, run, basis)
             break
         except _Overflow:
             bits *= 2
@@ -346,7 +367,7 @@ def normal_form(p: Poly, ideal: Ideal) -> Poly:
     # that degree; every field stays within deg p, which the width of p holds.
     layout, entries = ideal._entries(p.layout.bits)
     num = p.num if layout is p.layout else _repack(p.num, p.layout, layout)
-    rem, scale = _reduce(num, entries, layout)
+    rem, scale = _reduce(num, [entries], layout)
     return _make(layout, rem, p.den * scale)
 
 
@@ -356,44 +377,73 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.arity, I.generators + J.generators)
 
 
-def _e0_coordinates(arity: int, vectors: list) -> Ideal:
+def _e0_coordinates(arity: int, vectors: list, known=()) -> Ideal:
     """The ideal of the e0 coordinates of the submodule of R*e1 + R*e0
-    generated by ``vectors``, pairs (a, b) standing for a*e1 + b*e0, with
-    its reduced basis cached: the e0 part of the module's reduced basis.
+    generated by ``vectors``, pairs (a, b) standing for a*e1 + b*e0, and by
+    f*e1 for f in ``known``, a Groebner basis of the ideal it spans; the
+    result has its reduced basis cached: the e0 part of the module's
+    reduced basis.
 
     The terms at e0 of an ``ELIMINATION`` layout pack exactly as grevlex,
     and e1 adds the top field's weight, so no monomial is converted.
     """
-    layout, nums = _aligned([p for v in vectors for p in v])
+    layout, nums = _aligned([p for v in vectors for p in v] + list(known))
     block = _layout(ELIMINATION, arity + 1, layout.bits)
     e1 = block.weights[0]
     # (a*b.den)*e1 + (b*a.den)*e0, a multiple of a*e1 + b*e0 with integer terms
     gens = [{**{m + e1: c * b.den for m, c in na.items()},
              **{m: c * a.den for m, c in nb.items()}}
             for (a, b), na, nb in zip(vectors, nums[::2], nums[1::2])]
-    run, basis = groebner_terms(gens, block)
+    at_e1 = [{m + e1: c for m, c in nf.items()} for nf in nums[2 * len(vectors):]]
+    run, basis = groebner_terms(gens, block, at_e1)
     rest, e1 = _layout(GREVLEX, arity, run.bits), run.weights[0]
     ideal = Ideal(arity, [_make(rest, num, den) for num, den in basis if max(num) < e1])
     ideal._basis = ideal.generators
     return ideal
 
 
+def _times_e1(I: Ideal) -> tuple:
+    """``(vectors, known)`` giving f*e1 for f in I to ``_e0_coordinates``:
+    I's reduced basis as known entries when it is cached, which saves its
+    S-pairs, else I's generators as vectors (f, 0)."""
+    if I._basis is not None:
+        return [], I._basis
+    zero = Poly.zero(I.arity)
+    return [(f, zero) for f in I.generators], ()
+
+
+def _has_constant(I: Ideal) -> bool:
+    """Whether a generator of I is a nonzero constant, so that I is (1)."""
+    return any(g.total_degree() == 0 for g in I.generators)
+
+
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """Set-theoretic intersection: the e0 coordinates of the submodule
-    generated by f*e1 for f in I and g*(e1 + e0) for g in J."""
+    generated by f*e1 for f in I and g*(e1 + e0) for g in J.  When one side
+    has a constant generator, it is the whole ring and the answer is the
+    other side."""
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
     if I.is_zero or J.is_zero:
         return Ideal(I.arity)
-    zero = Poly.zero(I.arity)
-    return _e0_coordinates(I.arity, [(f, zero) for f in I.generators]
-                           + [(g, g) for g in J.generators])
+    if _has_constant(I):
+        return J
+    if _has_constant(J):
+        return I
+    vectors, known = _times_e1(I)
+    return _e0_coordinates(I.arity, vectors + [(g, g) for g in J.generators], known)
 
 
 def intersect_all(ideals, arity: int) -> Ideal:
-    """Intersection of a family of ideals; the empty family gives (1)."""
+    """Intersection of a family of ideals; the empty family gives (1).
+
+    The running intersection goes on the g*(e1 + e0) side and each next
+    ideal on the e1 side: seeding the running intersection's cached basis
+    as known entries at e1 measured slower than this order."""
     ideals = list(ideals)
-    return functools.reduce(ideal_intersection, ideals) if ideals else Ideal.unit(arity)
+    if not ideals:
+        return Ideal.unit(arity)
+    return functools.reduce(lambda acc, ideal: ideal_intersection(ideal, acc), ideals)
 
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
@@ -401,9 +451,8 @@ def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
     submodule generated by f*e1 for f in I and g*e1 + e0."""
     if g.is_zero:
         raise ValueError("colon ideal by the zero polynomial")
-    zero = Poly.zero(I.arity)
-    return _e0_coordinates(I.arity, [(f, zero) for f in I.generators]
-                           + [(g, Poly.one(I.arity))])
+    vectors, known = _times_e1(I)
+    return _e0_coordinates(I.arity, vectors + [(g, Poly.one(I.arity))], known)
 
 
 def ideal_saturation(I: Ideal, J: Ideal) -> Ideal:
@@ -488,16 +537,21 @@ def module_annihilator(components, I: Ideal) -> Ideal:
 
     ``components`` are the coordinates b_i of an element of a free module
     over the quotient ring by I, and the colon ideal is the intersection of
-    the colons I : b_i.  The intersection so far, ``acc``, starts as the
-    whole ring; a component b is skipped when h*b lies in I for every
-    generator h of ``acc``, because then ``acc`` is inside I : b already.
-    With ``acc`` the whole ring that is the test b in I, so a vector whose
-    components all lie in I has the whole ring as its annihilator.
+    the colons I : b_i.  They are taken densest first (by term count,
+    stably), whose colons tend to be the smallest.  The intersection so
+    far, ``acc``, starts as the whole ring; a component b is skipped when
+    h*b lies in I for every generator h of ``acc`` outside I, because then
+    ``acc`` is inside I : b already (h in I puts h*b in I anyway).  With
+    ``acc`` the whole ring that is the test b in I, so a vector whose
+    components all lie in I has the whole ring as its annihilator.  The
+    answer always contains I, as each I : b does.
     """
     whole = acc = Ideal.unit(I.arity)
-    for b in components:
-        if all(I.contains(h * b) for h in acc.generators):
+    outside = [h for h in acc.generators if not I.contains(h)]
+    for b in sorted(components, key=lambda b: len(b.num), reverse=True):
+        if all(I.contains(h * b) for h in outside):
             continue
         colon = ideal_quotient(I, b)
         acc = colon if acc is whole else ideal_intersection(acc, colon)
+        outside = [h for h in acc.generators if not I.contains(h)]
     return acc

@@ -79,6 +79,7 @@ class _Layout:
         self.guard = sum(1 << (s + bits) for s in self.shifts + [degshift])
         self.divmask = self.guard | sum(cap << s for s in self.shifts[:t])
         self.top = degshift + step  # lm >> top is the position
+        self.positions = t + 1  # e1 and e0, or the one position of grevlex
         self.flip = sum(cap << s for s in self.shifts[t:])
         self.rev = ~self.flip  # p ^ rev decreases as the monomial grows
         # grevlex: a packed monomial below ``bound`` has degree at most cap
@@ -150,8 +151,8 @@ def _make(layout: _Layout, num: dict, den: int = 1) -> "Poly":
         if g != 1:
             num = {m: c // g for m, c in num.items()}
             den //= g
-    if layout.bits > _BITS and num:
-        bits = _width(max(num) >> layout.degshift)
+    if layout.bits > _BITS:  # zero too: its canonical layout is the narrowest
+        bits = _width(max(num, default=0) >> layout.degshift)
         if bits < layout.bits:
             narrow = _layout(GREVLEX, layout.arity, bits)
             num, layout = _repack(num, layout, narrow), narrow
@@ -575,6 +576,10 @@ def parse_poly(text: str, arity: int, names=None) -> Poly:
     table = parser.printable(parser.expression())
     if tokens[parser.pos] is not None:
         raise PolyParseError(f"trailing input at token {tokens[parser.pos]!r}")
+    # the degree is printed too, so it obeys the digit limit of coefficients
+    degree, limit = max(map(sum, table), default=0), parser.digits
+    if limit and degree.bit_length() > 3 * limit and degree >= 10 ** limit:
+        raise PolyParseError(f"the total degree has more than {limit} digits")
     return _from_terms(arity, table)
 
 

@@ -6,8 +6,8 @@ a divisor arrangement:
 * the singular ideal, generated by all coefficients of omega; its locus is
   the singular scheme of the foliation;
 * the Kupka ideal, the singular ideal plus the annihilator of the class of
-  d(omega) modulo it; its locus carries the stable (Kupka) part of the
-  singular scheme;
+  d(omega) modulo it, which is that annihilator alone; its locus carries
+  the stable (Kupka) part of the singular scheme;
 * the persistent ideal, in two combinatorial presentations: the sum of the
   principal ideals of the complementary products prod_{j not in J} f_j over
   q-subsets J, and the intersection over (q+1)-subsets K of the ideals
@@ -75,14 +75,17 @@ def singular_ideal(form: PForm) -> Ideal:
 
 
 def kupka_ideal(form: PForm, singular: Ideal) -> Ideal:
-    """Singular ideal plus the annihilator of the class of d(form) modulo it.
+    """Singular ideal J plus the annihilator of the class of d(form) modulo J.
 
-    When d(form) vanishes identically the class is zero, its annihilator is
-    the whole ring, and the Kupka ideal is the unit ideal (empty locus).
+    That sum is the annihilator itself: J : b contains J for every
+    component b of d(form), so the annihilator contains J, and J + ann =
+    ann.  The annihilator comes with its reduced basis cached, so building
+    the Kupka ideal makes no grevlex run of its own.  When d(form) vanishes
+    identically the class is zero, its annihilator is the whole ring, and
+    the Kupka ideal is the unit ideal (empty locus).
     """
     components = list(exterior_derivative(form).coeffs.values())
-    annihilator = module_annihilator(components, singular)
-    return ideal_sum(singular, annihilator)
+    return module_annihilator(components, singular)
 
 
 def persistent_sum(vs: ValidatedSpec) -> Ideal:

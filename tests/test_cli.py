@@ -87,6 +87,10 @@ MALFORMED_SPECS = {
     "matrix-entry-of-5000-digits": (
         json.dumps(GOOD_SPEC).replace("-3]]", "-" + "9" * 5000 + "]]"),
         "cannot be parsed as JSON: Exceeds the limit"),
+    # each exponent is a 4300-digit literal, their sum has 4301 digits
+    "divisor-degree-of-4301-digits": (
+        dict(GOOD_SPEC, divisors=["x0^" + "9" * 4300 + "*x0^" + "9" * 4300, "x1", "x2"]),
+        "divisor 1: the total degree has more than 4300 digits"),
     "divisor-literal-of-5000-digits": (
         dict(GOOD_SPEC, divisors=["x0", "x1", "7*x2 + " + "1" * 5000]),
         "divisor 3: integer literal of 5000 digits at position 7 is too long"),

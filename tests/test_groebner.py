@@ -433,6 +433,64 @@ def test_module_annihilator_examples(monkeypatch):
     assert calls == [x0]
 
 
+def test_module_annihilator_is_the_intersection_of_every_colon():
+    """Seeded vectors with dense and sparse components, components in I,
+    repeats and multiples: the skip test and the densest-first order leave
+    the answer equal to the intersection of all the colons, none skipped."""
+    rng = random.Random(1309)
+    for trial in range(12):
+        arity = 3 + trial % 2
+        I = Ideal(arity, [random_homogeneous_poly(rng, arity, 2, 4) for _ in range(2)]
+                  + [mono_poly(arity, random_monomial(rng, arity, 3))])
+        dense = random_homogeneous_poly(rng, arity, 2, 6)
+        sparse = mono_poly(arity, random_monomial(rng, arity, 2))
+        inside = I.generators[0] * random_homogeneous_poly(rng, arity, 1, 2)
+        components = [sparse, inside, dense, sparse, dense * sparse, -dense]
+        components = [g for g in components if not g.is_zero]
+        every = intersect_all([ideal_quotient(I, g) for g in components], arity)
+        assert module_annihilator(components, I).groebner_basis() == every.groebner_basis()
+        # components that all lie in I: the unit answer, with no colon at all
+        multiples = [g * f for g in I.generators for f in (sparse, dense) if not f.is_zero]
+        assert module_annihilator(multiples, I).is_unit
+    x0, x1, x2 = variables(3)
+    assert module_annihilator([x0 + x1, x2], Ideal.unit(3)).is_unit
+    assert module_annihilator([], Ideal(3, [x0])).is_unit
+
+
+def test_colon_by_a_cached_basis_is_one_run_with_it_known(monkeypatch):
+    """I's cached basis goes into the module run as known entries: one run,
+    and the same reduced basis as the run seeded with I's raw generators.
+    An intersection with the whole ring makes no run at all."""
+    known_sizes = []
+    original = groebner.groebner_terms
+
+    def recording(generators, layout, known=()):
+        known_sizes.append(len(known))
+        return original(generators, layout, known)
+
+    monkeypatch.setattr(groebner, "groebner_terms", recording)
+    rng = random.Random(1310)
+    for _ in range(6):
+        gens = [random_homogeneous_poly(rng, 3, 2, 4) for _ in range(3)]
+        g, h = random_homogeneous_poly(rng, 3, 1, 3), random_homogeneous_poly(rng, 3, 2, 3)
+        if any(p.is_zero for p in gens + [g, h]):
+            continue
+        J = Ideal(3, [h])
+        raw = [ideal_quotient(Ideal(3, gens), g), ideal_intersection(Ideal(3, gens), J)]
+        assert known_sizes == [0, 0]
+        cached = Ideal(3, gens)
+        size = len(cached.groebner_basis())
+        known_sizes.clear()
+        assert ideal_quotient(cached, g).groebner_basis() == raw[0].groebner_basis()
+        assert ideal_intersection(cached, J).groebner_basis() == raw[1].groebner_basis()
+        assert known_sizes == [size, size]
+        known_sizes.clear()
+    I = Ideal(3, [P("x0*x1 - x2^2", 3)])
+    assert ideal_intersection(Ideal.unit(3), I) is I
+    assert ideal_intersection(I, Ideal(3, [P("x0", 3), P("7", 3)])) is I
+    assert known_sizes == []
+
+
 # -- independent oracle: SymPy's reduced Groebner bases ----------------------------------------
 
 def _sympy_polys(sympy, polys, xs):
@@ -499,8 +557,8 @@ def _recorded_runs(monkeypatch):
     runs = []
     original = groebner.groebner_terms
 
-    def recording(generators, layout):
-        result = original(generators, layout)
+    def recording(generators, layout, known=()):
+        result = original(generators, layout, known)
         runs.append((layout, result[0]))
         return result
 

@@ -439,3 +439,14 @@ def test_equal_polynomials_from_different_routes_hash_equal():
     low = (high + x1 * Fraction(1, 2)) - high
     assert low == x1 * Fraction(1, 2) and hash(low) == hash(x1 * Fraction(1, 2))
     assert low.layout is (x1 * Fraction(1, 2)).layout
+
+
+def test_zero_from_arithmetic_is_the_canonical_zero():
+    """A difference that cancels every term of a wide polynomial is the
+    narrow zero, equal to the zero of every other route."""
+    p = parse_poly("x0^200", 2)
+    zero = p - p
+    assert zero == 0 and zero == Poly.zero(2) and hash(zero) == hash(Poly.zero(2))
+    assert zero.layout is Poly.zero(2).layout
+    for other in (p * 0, -p + p, p + (-p), (p - p) * p):
+        assert other == zero and other.layout is zero.layout

@@ -5,16 +5,20 @@ import pytest
 
 from logfol.foliation import FoliationSpec, SpecValidationError, build_form, validate_spec
 from logfol.forms import PForm, exterior_derivative
+from logfol import groebner, schemes
 from logfol.groebner import (
     Ideal,
     ideal_equal,
     ideal_intersection,
+    ideal_quotient,
+    ideal_sum,
+    intersect_all,
     krull_dimension,
     normal_form,
     projective_dimension,
     radical_membership,
 )
-from logfol.poly import Poly
+from logfol.poly import ELIMINATION, Poly
 from logfol.sampling import random_validated_spec
 from logfol.schemes import (
     SchemeIdeals,
@@ -98,6 +102,51 @@ def test_kupka_codim_two_instance():
     assert d_omega == PForm(4, 3, {(0, 1, 2): Poly.const(4, -6)})
     K = kupka_ideal(OMEGA_P3_Q2, singular_ideal(OMEGA_P3_Q2))
     assert gens_of(K) == ["x0", "x1", "x2"]
+
+
+# a verify-p4 benchmark instance: five hyperplanes of P^4, q = 2
+P4_Q2 = FoliationSpec(4, 2, [P(f, 5) for f in ("x0 + x1 + 3*x2 - 3*x3 - 3*x4", "x2",
+                                               "-x0 + 3*x1 - 3*x2 + 3*x3 - 3*x4", "x4", "x3")],
+                      residue_matrix=[[8, -6, -7, -4, 9], [3, -5, 1, 2, -1]])
+
+
+def test_kupka_ideal_run_counts(monkeypatch):
+    """Counted work, no wall clock: with the singular basis cached, as
+    ``verify`` has it, the Kupka ideal of a P^4 instance takes two colons and
+    one intersection, all module runs, and keeps its basis, so asking for it
+    runs nothing.  It is J + ann, and ann is the intersection of every colon."""
+    form = build_form(validate_spec(P4_Q2, "full-snc"))
+    J = singular_ideal(form)
+    J.groebner_basis()
+    colons, runs = [], []
+    quotient, terms = groebner.ideal_quotient, groebner.groebner_terms
+    monkeypatch.setattr(groebner, "ideal_quotient",
+                        lambda I, g: colons.append(g) or quotient(I, g))
+    monkeypatch.setattr(groebner, "groebner_terms",
+                        lambda gens, layout, known=(): runs.append(layout.name)
+                        or terms(gens, layout, known))
+    K = kupka_ideal(form, J)
+    K.groebner_basis()
+    assert len(colons) <= 2 and runs == [ELIMINATION] * len(runs) and len(runs) <= 3
+    monkeypatch.setattr(groebner, "ideal_quotient", quotient)
+    monkeypatch.setattr(groebner, "groebner_terms", terms)
+    components = list(exterior_derivative(form).coeffs.values())
+    every = intersect_all([ideal_quotient(J, b) for b in components], 5)
+    assert ideal_equal(K, every) and ideal_equal(K, ideal_sum(J, K))
+
+
+def test_singular_consistency_with_no_residual_makes_no_module_run(monkeypatch):
+    """An empty residual is the unit ideal, and its intersection with the
+    Kupka ideal is the Kupka ideal itself: the check runs no engine."""
+    ids = SchemeIdeals(validate_spec(P4_Q2, "full-snc"))
+    assert ids.residual.is_unit and ids.kupka.groebner_basis()
+    runs = []
+    terms = groebner.groebner_terms
+    monkeypatch.setattr(groebner, "groebner_terms",
+                        lambda gens, layout, known=(): runs.append(layout.name)
+                        or terms(gens, layout, known))
+    assert schemes._singular_consistency(ids) == (True, {"radical_equal": True})
+    assert runs == []
 
 
 def test_persistent_sum_examples():
