@@ -264,12 +264,12 @@ def run_compute(doc: SpecDocument, which: str) -> tuple:
         return report, EXIT_VALIDATION
     out = {}
     if which in ("sing", "all"):
-        out["singular"] = ideal_block(ids.singular)
+        out["singular"] = ideal_block(ids, ids.singular)
     if which in ("kupka", "all"):
-        out["kupka"] = ideal_block(ids.kupka)
+        out["kupka"] = ideal_block(ids, ids.kupka)
     if which in ("persistent", "all"):
-        out["persistent_sum"] = ideal_block(ids.persistent_sum)
-        out["persistent_cap"] = ideal_block(ids.persistent_cap)
+        out["persistent_sum"] = ideal_block(ids, ids.persistent_sum)
+        out["persistent_cap"] = ideal_block(ids, ids.persistent_cap)
         out["persistent_equal"] = ideal_equal(ids.persistent_sum, ids.persistent_cap)
     report["ideals"] = out
     report["verdict"] = "pass"

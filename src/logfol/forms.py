@@ -16,15 +16,22 @@ exactly when its radial contraction vanishes.  The decomposability test
 (contract with every coordinate (q-1)-multivector, wedge back, demand zero)
 and the integrability test (same with an exterior derivative in between)
 are the two pointwise conditions a q-form must satisfy to define a
-codimension-q foliation away from its zero locus.
+codimension-q foliation away from its zero locus.  For a 2-form the
+decomposability family is the single test a ∧ a = 0, because
+i_Xi(a ∧ a) = 2 (i_Xi a) ∧ a.  Both tests only ask whether a wedge product
+vanishes, so they never build it as a form: one product loop sums each
+coefficient on integer numerators over a common denominator, and the zero
+test stops at the first coefficient that is not zero.  ``wedge`` builds its
+form from the same loop.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from .poly import Poly, _signed_sum
+from .poly import GREVLEX, Poly, _layout, _make, _repack, _signed_sum, _width
 
 IndexTuple = tuple  # strictly increasing tuple of variable indices
 
@@ -154,20 +161,66 @@ def _collect(arity: int, degree: int, pieces) -> PForm:
                                  for subset, (polys, signs) in grouped.items()})
 
 
-def wedge(a: PForm, b: PForm) -> PForm:
-    """Exterior product a ∧ b."""
+def _wedge_sums(a: PForm, b: PForm):
+    """The coefficients of a ∧ b, one index tuple at a time.
+
+    Returns ``(layout, den, sums)``: ``sums`` yields (index tuple, numerators)
+    for every index tuple that some product reaches, the numerators, zeros
+    dropped, packed by the grevlex ``layout`` over the common denominator
+    ``den`` of every coefficient.  Each coefficient is summed on ints in one
+    pass over its products, and only when ``sums`` reaches it.
+    """
     if a.arity != b.arity:
         raise ValueError("arity mismatch between forms")
-    degree = a.degree + b.degree
-    if degree > a.arity:
-        return PForm(a.arity, degree)
-    pieces = []
-    for sa, pa in a.coeffs.items():
-        for sb, pb in b.coeffs.items():
+    if a.degree + b.degree > a.arity or not a.coeffs or not b.coeffs:
+        return None, 1, iter(())
+    # a field width that holds every product, and one denominator per factor
+    degrees = [max(p.total_degree() for p in form.coeffs.values()) for form in (a, b)]
+    layout = _layout(GREVLEX, a.arity, _width(sum(degrees)))
+    dens = [lcm(*(p.den for p in form.coeffs.values())) for form in (a, b)]
+
+    def scaled(form, den):
+        out = {}
+        for subset, p in form.coeffs.items():
+            num = p.num if p.layout is layout else _repack(p.num, p.layout, layout)
+            f = den // p.den
+            out[subset] = num if f == 1 else {m: c * f for m, c in num.items()}
+        return out
+
+    grouped = {}
+    nums_b = scaled(b, dens[1])
+    for sa, na in scaled(a, dens[0]).items():
+        for sb, nb in nums_b.items():
             merged, sign = _merge_sign(sa, sb)
             if merged is not None:
-                pieces.append((merged, pa * pb, sign))
-    return _collect(a.arity, degree, pieces)
+                grouped.setdefault(merged, []).append((sign, na, nb))
+
+    def sums():
+        for merged, products in grouped.items():
+            out = {}
+            get = out.get
+            for sign, na, nb in products:
+                for mb, cb in nb.items():
+                    cb *= sign
+                    for ma, ca in na.items():
+                        m = ma + mb
+                        out[m] = get(m, 0) + ca * cb
+            yield merged, {m: c for m, c in out.items() if c}
+
+    return layout, dens[0] * dens[1], sums()
+
+
+def wedge(a: PForm, b: PForm) -> PForm:
+    """Exterior product a ∧ b."""
+    layout, den, sums = _wedge_sums(a, b)
+    return PForm(a.arity, a.degree + b.degree,
+                 {subset: _make(layout, num, den) for subset, num in sums if num})
+
+
+def _wedge_is_zero(a: PForm, b: PForm) -> bool:
+    """Whether a ∧ b = 0, stopping at the first nonzero coefficient."""
+    _, _, sums = _wedge_sums(a, b)
+    return not any(num for _, num in sums)
 
 
 def exterior_derivative(a: PForm) -> PForm:
@@ -230,7 +283,7 @@ def _wedge_test(a: PForm, step, what: str) -> bool:
     """Whether step(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi."""
     if a.degree < 1:
         raise ValueError(f"{what} is only defined for forms of degree >= 1")
-    return all(wedge(step(contract(a, xi)), a).is_zero
+    return all(_wedge_is_zero(step(contract(a, xi)), a)
                for xi in itertools.combinations(range(a.arity), a.degree - 1))
 
 
@@ -239,10 +292,15 @@ def plucker_check(a: PForm) -> bool:
 
     Requires (i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi;
     linearity over functions makes the coordinate multivectors sufficient.
-    A 1-form passes without a product: a ∧ a = 0 by antisymmetry.
+    A 1-form passes without a product: a ∧ a = 0 by antisymmetry.  For a
+    2-form the family is the one test a ∧ a = 0, since i_Xi(a ∧ a) =
+    2 (i_Xi a) ∧ a and a form whose every coordinate contraction vanishes is
+    zero.
     """
     if a.degree == 1:
         return True
+    if a.degree == 2:
+        return _wedge_is_zero(a, a)
     return _wedge_test(a, lambda form: form, "decomposability")
 
 

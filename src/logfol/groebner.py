@@ -9,7 +9,8 @@ criteria.  Everything else in the module reduces to it:
   free module R*e1 + R*e0 (Greuel & Pfister, *A Singular Introduction to
   Commutative Algebra*, module quotients): position over term with
   e1 > e0 eliminates e1, so the e0 part of the reduced basis is the
-  reduced basis of the answer.  I ∩ J is the e0 part of the submodule
+  reduced basis of the answer, and the only part a module run
+  inter-reduces and returns.  I ∩ J is the e0 part of the submodule
   generated by f*e1 for f in I and g*(e1 + e0) for g in J, and I : g that
   of f*e1 for f in I and g*e1 + e0,
 * a run may be given known entries, a Groebner basis already, which make
@@ -19,8 +20,10 @@ criteria.  Everything else in the module reduces to it:
   colons by its components, densest first, and skips each one that the
   intersection so far already lies in, testing only the generators of that
   intersection outside I,
-* saturation iterates ``module_annihilator`` to a fixed point, and f lies
-  in the radical of I exactly when I : f^infinity is the unit ideal,
+* saturation iterates ``module_annihilator`` to a fixed point, squaring a
+  principal divisor f from the third step on (colons by f, f, f^2, f^4,
+  ...), and f lies in the radical of I exactly when I : f^infinity is the
+  unit ideal,
 * Krull dimension is the number of variables less the fewest variables
   meeting the support of every leading monomial.
 
@@ -163,11 +166,11 @@ def _spoly(f: tuple, g: tuple, lcm_fg: int, guard: int) -> dict:
 
 
 def _buchberger(seed: list, layout: _Layout, known: list):
-    """Reduced basis entries of the ideal or module of packed integer
-    polynomials ``known + seed``, in increasing order of leading monomial,
-    or None when it contains 1 (1*e0 in a module).  ``known`` is a Groebner
-    basis already: its entries go in as they are and make no S-pairs among
-    themselves."""
+    """Reduced basis entries of the ideal of packed integer polynomials
+    ``known + seed``, or of the e0 part of the module they generate, in
+    increasing order of leading monomial, or None when it contains 1 (1*e0
+    in a module).  ``known`` is a Groebner basis already: its entries go in
+    as they are and make no S-pairs among themselves."""
     flip, guard, mask, at = layout.flip, layout.guard, layout.divmask, layout.top
     basis = []        # entries (lm, lc, tail, top)
     lms = []          # their leading monomials, for divisibility scans
@@ -220,19 +223,19 @@ def _buchberger(seed: list, layout: _Layout, known: list):
             if r and add(_entry(r, layout)):
                 return None
 
-    # minimal basis: drop entries whose leading monomial another one divides
+    # minimal basis at e0 (all of a grevlex run, the answer of a module run):
+    # drop entries whose leading monomial another one divides; an entry at
+    # e1 divides nothing at e0, so leaving those out changes nothing there
     kept = []
-    groups = [[] for _ in range(layout.positions)]
     for entry in sorted(basis, key=lambda e: e[0] ^ flip):
-        if all((entry[0] - k[0]) & mask for k in kept):
+        if not entry[0] >> at and all((entry[0] - k[0]) & mask for k in kept):
             kept.append(entry)
-            groups[entry[0] >> at].append(entry)
 
     # inter-reduce tails; leading monomials are untouched by construction,
     # and no entry divides a monomial of its own tail, which is smaller
     out = []
     for lm, lc, tail, _ in kept:
-        rem, scale = _reduce(dict(tail), groups, layout)
+        rem, scale = _reduce(dict(tail), [kept], layout)
         out.append((lm, lc * scale, rem))
     return out
 
@@ -240,7 +243,9 @@ def _buchberger(seed: list, layout: _Layout, known: list):
 def groebner_terms(generators: list[dict], layout: _Layout, known: list = ()) -> tuple:
     """Reduced Groebner basis of the ideal generated by packed polynomials,
     under the order of ``layout`` (named by ``layout.name``); under
-    ``ELIMINATION``, of the submodule of R*e1 + R*e0 they generate.
+    ``ELIMINATION``, the e0 part of the reduced basis of the submodule of
+    R*e1 + R*e0 they generate, which is the reduced basis of the ideal of
+    its e0 coordinates: a module run inter-reduces and returns nothing at e1.
 
     ``generators`` map monomials packed by ``layout`` to integers; a
     generator stands for any nonzero rational multiple of itself.  ``known``
@@ -396,8 +401,8 @@ def _e0_coordinates(arity: int, vectors: list, known=()) -> Ideal:
             for (a, b), na, nb in zip(vectors, nums[::2], nums[1::2])]
     at_e1 = [{m + e1: c for m, c in nf.items()} for nf in nums[2 * len(vectors):]]
     run, basis = groebner_terms(gens, block, at_e1)
-    rest, e1 = _layout(GREVLEX, arity, run.bits), run.weights[0]
-    ideal = Ideal(arity, [_make(rest, num, den) for num, den in basis if max(num) < e1])
+    rest = _layout(GREVLEX, arity, run.bits)
+    ideal = Ideal(arity, [_make(rest, num, den) for num, den in basis])
     ideal._basis = ideal.generators
     return ideal
 
@@ -456,15 +461,24 @@ def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
 
 
 def ideal_saturation(I: Ideal, J: Ideal) -> Ideal:
-    """The saturation I : J^infinity, iterated to a fixed point."""
+    """The saturation I : J^infinity, iterated to a fixed point.
+
+    A step takes the colon of the last result by J.  When J = (f) the steps
+    are by f, f, f^2, f^4, ..., so after k + 1 steps the result is I : f^(2^k)
+    and a power f^d in I costs about log2(d) colons, not d.  Two equal
+    results in a row end it: K = I : f^e = I : f^(2e) gives K : f^e = K, so
+    K : f = K is saturated.
+    """
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
-    current = I
+    current, factors, square = I, J.generators, False
     while True:
-        nxt = module_annihilator(J.generators, current)
+        nxt = module_annihilator(factors, current)
         if ideal_equal(nxt, current):
             return current
-        current = nxt
+        if square:
+            factors = [factors[0] * factors[0]]
+        current, square = nxt, len(factors) == 1
 
 
 def radical_membership(f: Poly, I: Ideal) -> bool:

@@ -116,11 +116,14 @@ class SchemeIdeals:
 
     Each attribute is computed on first use and kept, so every ideal, and
     the Groebner bases cached on it, is built once per instance.  The
-    attributes call the module-level constructors by name.
+    attributes call the module-level constructors by name.  ``printed``
+    maps each reduced generator the report has printed to its text, so a
+    polynomial is printed once per instance however many checks list it.
     """
 
     def __init__(self, vs: ValidatedSpec):
         self.vs = vs
+        self.printed = {}
 
     @cached_property
     def form(self) -> PForm:
@@ -178,14 +181,22 @@ class CheckResult:
                 "details": self.details, "seconds": round(self.seconds, 6)}
 
 
-def generator_strings(ideal: Ideal) -> list:
-    """The reduced grevlex generators of an ideal, printed."""
-    return [str(g) for g in ideal.groebner_basis()]
+def generator_strings(ids: SchemeIdeals, ideal: Ideal) -> list:
+    """The reduced grevlex generators of one of the instance's ideals,
+    printed; each distinct polynomial is printed once per instance."""
+    printed = ids.printed
+    out = []
+    for g in ideal.groebner_basis():
+        text = printed.get(g)
+        if text is None:
+            text = printed[g] = str(g)
+        out.append(text)
+    return out
 
 
-def ideal_block(ideal: Ideal) -> dict:
+def ideal_block(ids: SchemeIdeals, ideal: Ideal) -> dict:
     """Report entry of an ideal: reduced generators and projective dimension."""
-    return {"generators": generator_strings(ideal),
+    return {"generators": generator_strings(ids, ideal),
             "projective_dimension": projective_dimension(ideal)}
 
 
@@ -253,20 +264,20 @@ def _identities(ids: SchemeIdeals):
 
 
 def _sing(ids: SchemeIdeals):
-    return True, ideal_block(ids.singular)
+    return True, ideal_block(ids, ids.singular)
 
 
 def _kupka(ids: SchemeIdeals):
     contained = all(ids.kupka.contains(g) for g in ids.singular.generators)
-    details = ideal_block(ids.kupka)
+    details = ideal_block(ids, ids.kupka)
     details["contains_singular_ideal"] = contained
     return contained, details
 
 
 def _persistent(ids: SchemeIdeals):
     included = all(ids.persistent_cap.contains(g) for g in ids.persistent_sum.generators)
-    return included, {"sum": ideal_block(ids.persistent_sum),
-                      "cap": ideal_block(ids.persistent_cap), "sum_included_in_cap": included,
+    return included, {"sum": ideal_block(ids, ids.persistent_sum),
+                      "cap": ideal_block(ids, ids.persistent_cap), "sum_included_in_cap": included,
                       "ideals_equal": ideal_equal(ids.persistent_sum, ids.persistent_cap)}
 
 
@@ -274,8 +285,8 @@ def _lemma(ids: SchemeIdeals):
     equal = ideal_equal(ids.persistent_sum, ids.persistent_cap)
     details = _precondition_details(ids, residues=False)
     details["ideals_equal"] = equal
-    details["sum_generators"] = generator_strings(ids.persistent_sum)
-    details["cap_generators"] = generator_strings(ids.persistent_cap)
+    details["sum_generators"] = generator_strings(ids, ids.persistent_sum)
+    details["cap_generators"] = generator_strings(ids, ids.persistent_cap)
     return equal, details
 
 
@@ -285,13 +296,13 @@ def _kupka_codimension(ids: SchemeIdeals):
     expected = ids.vs.n - (ids.vs.q + 1)
     return proj == expected, {"cone_dimension": cone, "projective_dimension": proj,
                               "expected_projective_dimension": expected,
-                              "generators": generator_strings(ids.kupka)}
+                              "generators": generator_strings(ids, ids.kupka)}
 
 
 def _residual_dimension(ids: SchemeIdeals):
     proj, bound = projective_dimension(ids.residual), ids.vs.q - 1
     return proj <= bound, {"projective_dimension": proj, "empty": proj == -1, "bound": bound,
-                           "generators": generator_strings(ids.residual)}
+                           "generators": generator_strings(ids, ids.residual)}
 
 
 def _same_locus(I: Ideal, J: Ideal):
@@ -303,7 +314,7 @@ def _same_locus(I: Ideal, J: Ideal):
 def _kupka_formula(ids: SchemeIdeals):
     same, details = _same_locus(ids.kupka, ids.persistent_cap)
     details["ideals_equal"] = ideal_equal(ids.kupka, ids.persistent_cap)
-    details["persistent_generators"] = generator_strings(ids.persistent_cap)
+    details["persistent_generators"] = generator_strings(ids, ids.persistent_cap)
     return same, details
 
 

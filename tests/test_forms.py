@@ -1,10 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from logfol.forms import (
     PForm,
+    _merge_sign,
+    _wedge_is_zero,
+    _wedge_sums,
     contract,
     contract_index,
     exterior_derivative,
@@ -47,6 +51,75 @@ def test_wedge_expansion():
     a = PForm(3, 1, {(0,): one, (1,): one})
     b = PForm(3, 1, {(0,): one, (1,): -one})
     assert wedge(a, b) == PForm(3, 2, {(0, 1): Poly.const(3, -2)})
+
+
+def product_wedge(a, b):
+    """a ∧ b from ``Poly`` products and sums, the definition term by term."""
+    coeffs = {}
+    for sa, pa in a.coeffs.items():
+        for sb, pb in b.coeffs.items():
+            merged, sign = _merge_sign(sa, sb)
+            if merged is not None:
+                coeffs[merged] = coeffs.get(merged, Poly.zero(a.arity)) + pa * pb * sign
+    return PForm(a.arity, a.degree + b.degree, coeffs)
+
+
+def rational_form(rng, arity, degree, high=False):
+    """A random form whose coefficients have different denominators; with
+    ``high`` each coefficient is a multiple of a variable to the 70th."""
+    coeffs = {}
+    for subset in itertools.combinations(range(arity), degree):
+        p = random_poly(rng, arity, 3, terms=3) * Fraction(rng.randint(1, 7), rng.randint(2, 9))
+        if high:
+            p = p * Poly.variable(arity, rng.randrange(arity)) ** 70
+        coeffs[subset] = p
+    return PForm(arity, degree, coeffs)
+
+
+def test_wedge_zero_test_matches_the_product_wedge():
+    """The zero test against ``wedge(a, b).is_zero``, and ``wedge`` against
+    the product definition, on seeded random forms of degree 1-3 with
+    rational coefficients over different denominators.  Multiples of a
+    1-form and of a decomposable 2-form give zero products; coefficients of
+    degree 70 and more make products of degree 140 and more, past the
+    narrowest field width."""
+    rng = random.Random(2208)
+    zeros = 0
+    for case in range(60):
+        arity = rng.randint(3, 5)
+        high = case % 4 == 3
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        a = rational_form(rng, arity, p, high)
+        if case % 3 == 0:  # a ∧ (f a) = 0 for a 1-form, a ∧ alpha = 0 for a = alpha ∧ beta
+            alpha = rational_form(rng, arity, 1, high)
+            b = alpha * (random_poly(rng, arity, 3, terms=2) + Fraction(1, 3))
+            a = product_wedge(alpha, rational_form(rng, arity, 1)) if p == 2 else alpha
+        else:
+            b = rational_form(rng, arity, q, high)
+        expected = product_wedge(a, b)
+        assert wedge(a, b) == expected
+        assert _wedge_is_zero(a, b) == expected.is_zero
+        zeros += expected.is_zero
+        if high and not expected.is_zero:
+            assert min(c.total_degree() for c in expected.coeffs.values()) >= 140
+    assert 10 <= zeros <= 50
+
+
+def test_wedge_zero_test_reads_every_coefficient():
+    """a ∧ b reaches dx0123 and dx0124, and only the last of them is
+    nonzero: f*f dx01∧dx23 cancels -f*f dx23∧dx01, so a zero test that
+    stopped early would call the product zero."""
+    rng = random.Random(9)
+    f = random_poly(rng, 5, 3) * Fraction(2, 3) + Fraction(1, 5)
+    g = random_poly(rng, 5, 3) * Fraction(5, 7) + 1
+    a = PForm(5, 2, {(0, 1): f, (2, 3): f})
+    b = PForm(5, 2, {(0, 1): f, (2, 3): -f, (2, 4): g})
+    _, _, sums = _wedge_sums(a, b)
+    reached = [(subset, bool(num)) for subset, num in sums]
+    assert reached == [((0, 1, 2, 3), False), ((0, 1, 2, 4), True)]
+    assert wedge(a, b) == PForm(5, 4, {(0, 1, 2, 4): f * g})
+    assert not _wedge_is_zero(a, b)
+    assert _wedge_is_zero(a, PForm(5, 2, {(0, 1): f, (2, 3): -f}))
 
 
 def test_wedge_overflow_degree_is_zero():
@@ -183,6 +256,24 @@ def test_plucker_rejects_symplectic_type_form():
     a = PForm(4, 2, {(0, 1): one, (2, 3): one})
     assert not plucker_check(a)
     assert plucker_check(PForm(4, 2, {(0, 1): one}))
+
+
+def test_plucker_of_a_two_form_matches_the_contraction_family():
+    """For a 2-form the one test a ∧ a = 0 agrees with (i_k a) ∧ a = 0 for
+    every coordinate field d/dx_k, on random decomposable and
+    non-decomposable 2-forms."""
+    rng = random.Random(4)
+    seen = set()
+    for case in range(30):
+        arity = rng.randint(4, 6)
+        if case % 2:
+            a = product_wedge(rational_form(rng, arity, 1), rational_form(rng, arity, 1))
+        else:
+            a = rational_form(rng, arity, 2)
+        family = all(product_wedge(contract(a, (k,)), a).is_zero for k in range(arity))
+        assert plucker_check(a) == family
+        seen.add(family)
+    assert seen == {True, False}
 
 
 def test_frobenius_examples():

@@ -296,6 +296,55 @@ def test_saturation_against_monomial_oracle():
                 gens, sat_gens, mono)
 
 
+def _saturation_by_single_colons(I, f):
+    """I : f^infinity one colon by f at a time, to a fixed point."""
+    current = I
+    while True:
+        nxt = module_annihilator([f], current)
+        if ideal_equal(nxt, current):
+            return current
+        current = nxt
+
+
+def test_principal_saturation_matches_single_colons():
+    """Saturating by (f) through colons by f, f, f^2, f^4, ... gives the
+    ideal that one colon by f at a time reaches, on powers of a variable and
+    of a dense quadric, and on a few random homogeneous ideals."""
+    x0, x1, x2 = variables(3)
+    quadric = P("x0^2 + 2*x0*x1 - 3*x1*x2 + x2^2", 3)
+    cases = [(Ideal(3, [x0 ** 5 * x1, x0 ** 3 * x2 ** 2]), x0),
+             (Ideal(3, [x0 ** 5 * x1, x1 ** 2 * x2]), x0 * x1),
+             (Ideal(3, [quadric ** 3 * x1, quadric * x2 ** 3, x0 ** 7]), quadric),
+             (Ideal(3, [quadric ** 3 * x0, x2 * x1 ** 4]), quadric)]
+    rng = random.Random(12)
+    for _ in range(4):
+        gens = [random_homogeneous_poly(rng, 3, rng.randint(2, 3), 3) for _ in range(2)]
+        cases.append((Ideal(3, gens), random_homogeneous_poly(rng, 3, 1, 2)))
+    for I, f in cases:
+        expected = _saturation_by_single_colons(I, f)
+        assert ideal_equal(ideal_saturation(I, Ideal(3, [f])), expected), (I, f)
+    assert gens_of(ideal_saturation(cases[0][0], Ideal(3, [x0]))) == ["x1", "x2^2"]
+
+
+@pytest.mark.parametrize("exponent", [9999, 999999])
+def test_saturation_by_a_high_power_is_bounded_work(tmp_path, exponent):
+    """``verify --waive-preconditions`` of the divisors x0^d, x1, x2 saturates
+    by powers of x0 in ``radical_membership``: one colon per unit of d took
+    seconds for d = 9999 and minutes for d = 999999, squaring takes well
+    under 2 s for both."""
+    spec = {"n": 2, "q": 1, "divisors": [f"x0^{exponent}", "x1", "x2"],
+            "residue_matrix": [[1, 1, -(exponent + 1)]], "validation_level": "basic"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    t0 = time.perf_counter()
+    code = main(["verify", str(path), "--waive-preconditions", "--format", "machine",
+                 "--output", str(tmp_path / "report.json")])
+    assert time.perf_counter() - t0 < 2
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert code == 3
+    assert report["failed_checks"] == ["residual-dimension", "kupka-formula", "disjointness"]
+
+
 # -- radical membership -------------------------------------------------------------------
 
 def test_radical_membership_examples():
@@ -622,19 +671,20 @@ def test_block1_bases_and_normal_forms_match_sympy():
 
 
 def test_module_runs_reduce_and_pair_only_at_one_position():
-    """x0*e0 divides the x-part of the leading term x0*e1 of (x0 + x1)*e1,
-    but neither reduces the other and no S-pair joins them: the seeds are
-    the reduced basis.  At e1, x1*(x0 + x1)*e1 reduces by x1^2*e1 + e0 to
-    x0*x1*e1 - e0, and the S-pair of the two gives (x0 + x1)*e0."""
+    """A module run returns the e0 part of its reduced basis alone.  x0*e0
+    divides the x-part of the leading term x0*e1 of x0*e1 + x1*e0, but
+    neither a reduction nor an S-pair may join them: either would bring in
+    x1*e0, so the e0 part stays (x0).  At e1, x1*(x0 + x1)*e1 reduces by
+    x1^2*e1 + e0 to x0*x1*e1 - e0, and the S-pair of the two gives
+    (x0 + x1)*e0, the one element at e0."""
     layout = _layout(ELIMINATION, 3, 7)  # (position, x0, x1)
     m = lambda *exps: layout.pack(exps)
-    _, basis = groebner.groebner_terms([{m(0, 1, 0): 1}, {m(1, 1, 0): 1, m(1, 0, 1): 1}],
+    _, basis = groebner.groebner_terms([{m(0, 1, 0): 1}, {m(1, 1, 0): 1, m(0, 0, 1): 1}],
                                        layout)
-    assert basis == [({m(1, 1, 0): 1, m(1, 0, 1): 1}, 1), ({m(0, 1, 0): 1}, 1)]
+    assert basis == [({m(0, 1, 0): 1}, 1)]
     seeds = [{m(1, 1, 1): 1, m(1, 0, 2): 1}, {m(1, 0, 2): 1, m(0, 0, 0): 1}]
     _, basis = groebner.groebner_terms(seeds, layout)
-    assert basis == [({m(1, 1, 1): 1, m(0, 0, 0): -1}, 1), ({m(1, 0, 2): 1, m(0, 0, 0): 1}, 1),
-                     ({m(0, 1, 0): 1, m(0, 0, 1): 1}, 1)]
+    assert basis == [({m(0, 1, 0): 1, m(0, 0, 1): 1}, 1)]
 
 
 def test_intersection_and_colon_cache_their_bases(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from logfol.foliation import FoliationSpec, SpecValidationError, build_form, validate_spec
 from logfol.forms import PForm, exterior_derivative
-from logfol import groebner, schemes
+from logfol import cli, groebner, schemes
+from logfol import poly as poly_module
 from logfol.groebner import (
     Ideal,
     ideal_equal,
@@ -328,7 +329,78 @@ def test_identities_check_decomposability_of_a_raw_lambda_table():
     vs = validate_spec(FoliationSpec(4, 2, divisors, lambdas=lambdas), "full-snc")
     result = verify_identities(SchemeIdeals(vs))
     assert result.details["decomposable"] is False
+    assert result.details["integrable"] is False
     assert result.status == "fail"
+
+
+# -- printed generators ---------------------------------------------------------------------
+
+# five hyperplanes of P^4 with q = 2: the persistent generators are listed by
+# ``persistent`` (sum and cap), ``lemma`` and ``kupka-formula``
+P4_SPEC = {"n": 4, "q": 2,
+           "divisors": ["x0 + x1 + 3*x2 - 3*x3 - 3*x4", "x2", "-x0 + 3*x1 - 3*x2 + 3*x3 - 3*x4",
+                        "x4", "x3"],
+           "residue_matrix": [[8, -6, -7, -4, 9], [3, -5, 1, 2, -1]],
+           "validation_level": "full-snc"}
+
+
+def _printed_polys(monkeypatch) -> list:
+    """Every polynomial printed through ``Poly.__str__`` from now on."""
+    printed = []
+    original = poly_module.poly_to_str
+
+    def spy(p, names=None):
+        printed.append(p)
+        return original(p, names)
+
+    monkeypatch.setattr(poly_module, "poly_to_str", spy)
+    return printed
+
+
+def _listed_generators(report) -> list:
+    """Every generator string the checks of a verify report list."""
+    listed = []
+    for check in report["checks"]:
+        details = check["details"]
+        blocks = [details, details.get("sum", {}), details.get("cap", {})]
+        for block in blocks:
+            for key in ("generators", "sum_generators", "cap_generators",
+                        "persistent_generators"):
+                listed += block.get(key, [])
+    return listed
+
+
+def test_verify_prints_each_reduced_generator_once(monkeypatch):
+    """One ``verify`` lists generators many times over, and prints each
+    distinct reduced generator once."""
+    printed = _printed_polys(monkeypatch)
+    report, code = cli.run_verify(cli.parse_spec_document(P4_SPEC, "p4"))
+    assert code == 0
+    listed = _listed_generators(report)
+    assert len(listed) > 2 * len(set(listed))
+    assert len(printed) == len(set(printed)) == len(set(listed))
+
+
+def test_verify_calls_share_no_printed_strings(monkeypatch):
+    """The printed generators are kept by the instance: a second ``verify``
+    of the same spec in the same process prints every one of them again."""
+    instances = []
+
+    class Recording(SchemeIdeals):
+        def __init__(self, vs):
+            super().__init__(vs)
+            instances.append(self)
+
+    monkeypatch.setattr(cli, "SchemeIdeals", Recording)
+    printed = _printed_polys(monkeypatch)
+    doc = cli.parse_spec_document(P4_SPEC, "p4")
+    first, _ = cli.run_verify(doc)
+    count = len(printed)
+    second, _ = cli.run_verify(doc)
+    assert count and len(printed) == 2 * count
+    assert _listed_generators(first) == _listed_generators(second)
+    one, two = instances
+    assert one.printed is not two.printed and len(one.printed) == len(two.printed) == count
 
 
 # -- structural invariants --------------------------------------------------------------
