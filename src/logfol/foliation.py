@@ -29,6 +29,10 @@ Validation is layered:
 
 A failed validation raises ``SpecValidationError`` carrying one structured
 entry per failed check; nothing is reported by crashing.
+
+``adapted_coordinates`` rewrites a validated arrangement of hyperplanes in
+linear coordinates where up to n+1 of its hyperplanes are coordinate
+functions, for ``schemes`` to compute in.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from functools import reduce
 
 from .forms import PForm, exterior_derivative, radial_contraction, wedge
 from .groebner import Ideal, krull_dimension
-from .poly import Poly
+from .poly import GREVLEX, Poly, _layout, _make, _width
 
 VALIDATION_LEVELS = ("basic", "generic", "full-snc")
 
@@ -147,18 +151,29 @@ def _minor(rows, cols) -> int:
     return sign * m[0][0]
 
 
-def lambda_table(spec: FoliationSpec) -> dict:
-    """Residue scalar for every q-subset: minors in matrix mode, as given in raw mode.
+def _residue_scalars(spec: FoliationSpec) -> tuple:
+    """``(scalars, scale)``: an integer for every q-subset, in increasing
+    subset order, and one positive scale, so that the residue scalar of the
+    subset is its integer divided by the scale.
 
-    The rows are cleared of denominators, each minor is taken over the
-    integers, and the product of the row scales is divided out at the end."""
+    In matrix mode the rows are cleared of denominators, each minor is taken
+    over the integers, and the scale is the product of the row scales; in
+    raw mode the scale is the common denominator of the table."""
     if spec.mode == "raw":
-        return {subset: spec.lambdas.get(subset, Fraction(0)) for subset in spec.subsets()}
+        table = {subset: spec.lambdas.get(subset, Fraction(0)) for subset in spec.subsets()}
+        scale = math.lcm(*(x.denominator for x in table.values()))
+        return {subset: x.numerator * (scale // x.denominator)
+                for subset, x in table.items()}, scale
     scales = [math.lcm(*(x.denominator for x in row)) for row in spec.residue_matrix]
     rows = [[x.numerator * (d // x.denominator) for x in row]
             for row, d in zip(spec.residue_matrix, scales)]
-    scale = math.prod(scales)
-    return {subset: Fraction(_minor(rows, subset), scale) for subset in spec.subsets()}
+    return {subset: _minor(rows, subset) for subset in spec.subsets()}, math.prod(scales)
+
+
+def lambda_table(spec: FoliationSpec) -> dict:
+    """Residue scalar for every q-subset: minors in matrix mode, as given in raw mode."""
+    scalars, scale = _residue_scalars(spec)
+    return {subset: Fraction(value, scale) for subset, value in scalars.items()}
 
 
 @dataclass
@@ -236,6 +251,62 @@ def _eliminate(rows, head, col, prev):
             for row in rows]
 
 
+def adapted_coordinates(vs: ValidatedSpec):
+    """``(M, adapted)`` for an arrangement of hyperplanes, or None.
+
+    The linear divisors are taken sparsest first, and each one independent
+    of those kept so far, by fraction-free elimination, is kept, up to n+1
+    of them.  Row k of the integer matrix M is the kept divisor whose
+    reduced row has its first nonzero entry in column k, and the unit row
+    e_k for a column no kept divisor takes, so M is invertible and each kept
+    divisor is the coordinate y_k of y = Mx.  ``adapted`` is the instance in
+    the coordinates y: a kept divisor is y_k, and any other divisor f = r.x
+    is its row r M^-1, scaled to a primitive integer row.  A constant factor
+    on a divisor only scales the form, so every ideal of ``adapted`` is the
+    ideal of the given instance carried by the coordinate change.  Residues,
+    degrees and the validation record are those of ``vs``.
+
+    None when a divisor is not linear, or when every kept divisor is a
+    multiple of a coordinate already.
+    """
+    rows = [_linear_row(f) for f in vs.divisors]
+    if None in rows:
+        return None
+    arity = vs.arity
+    matrix = [[int(j == k) for j in range(arity)] for k in range(arity)]
+    echelon = []  # (pivot column, kept row reduced against those before it)
+    kept = {}     # divisor index -> its coordinate
+    for i in sorted(range(vs.s), key=lambda i: len(vs.divisors[i].num)):
+        row = rows[i]
+        for col, head in echelon:
+            if row[col]:
+                row = _eliminate([row], head, col, 1)[0]
+        col = next((c for c, a in enumerate(row) if a), None)
+        if col is not None:
+            echelon.append((col, row))
+            matrix[col], kept[i] = rows[i], col
+            if len(kept) == arity:
+                break
+    if all(arity - rows[i].count(0) == 1 for i in kept):
+        return None
+    det = _minor(matrix, range(arity))
+    layout = _layout(GREVLEX, arity, _width(1))
+    divisors = []
+    for i, row in enumerate(rows):
+        if i in kept:
+            new = {layout.weights[kept[i]]: 1}
+        else:  # Cramer: (r M^-1)_k = det(M with row k replaced by r) / det(M)
+            new = [_minor(matrix[:k] + [row] + matrix[k + 1:], range(arity)) * det
+                   for k in range(arity)]
+            g = math.gcd(*new)
+            new = {w: c // g for w, c in zip(layout.weights, new) if c}
+        divisors.append(_make(layout, new))
+    spec = vs.spec
+    adapted = FoliationSpec(spec.n, spec.q, divisors, spec.residue_matrix, spec.lambdas)
+    return matrix, ValidatedSpec(adapted, vs.level, vs.degrees, vs.lambdas, vs.certificate,
+                                 vs.snc_violations)
+
+
 def transversality_violations(divisors, arity, max_size) -> list:
     """(K, height) for each subset K, of size 2..max_size, whose intersection
     has the wrong codimension, sorted by size and then by K.
@@ -285,7 +356,8 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
         raise ValueError(f"unknown validation level {level!r}")
     failures = []
     certificate = []
-    lam = lambda_table(spec)
+    scalars, scale = _residue_scalars(spec)
+    lam = {subset: Fraction(value, scale) for subset, value in scalars.items()}
 
     # homogeneity of each divisor
     degrees = []
@@ -320,19 +392,19 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
                     "radial contraction of the built form is nonzero"))
 
     if level in ("generic", "full-snc"):
-        zero_subsets = [I for I, value in lam.items() if value == 0]
-        for I in zero_subsets:
+        # the scalars share one positive scale, so their integers compare as they do
+        by_value = {}
+        for I, value in scalars.items():  # in increasing subset order
+            by_value.setdefault(value, []).append(I)
+        for I in by_value.get(0, ()):
             failures.append(ValidationFailure(
                 "genericity", f"subset {format_subset(I)}", "residue scalar is zero"))
-        by_value = {}
-        for I, value in sorted(lam.items()):
-            by_value.setdefault(value, []).append(I)
         for value, subsets in sorted(by_value.items()):
             if value != 0 and len(subsets) > 1:
                 listed = ", ".join(format_subset(I) for I in subsets)
                 failures.append(ValidationFailure(
                     "genericity", f"subsets {listed}",
-                    f"residue scalar {value} repeats: not pairwise distinct"))
+                    f"residue scalar {Fraction(value, scale)} repeats: not pairwise distinct"))
         if not any(f.check == "genericity" for f in failures):
             certificate.append("genericity: residue scalars pairwise distinct and nonzero")
 

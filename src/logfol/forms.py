@@ -22,7 +22,8 @@ i_Xi(a ∧ a) = 2 (i_Xi a) ∧ a.  Both tests only ask whether a wedge product
 vanishes, so they never build it as a form: one product loop sums each
 coefficient on integer numerators over a common denominator, and the zero
 test stops at the first coefficient that is not zero.  ``wedge`` builds its
-form from the same loop.
+form from the same loop, and the integrability test forms each d(i_Xi a)
+on the numerators of a as well.
 """
 
 from __future__ import annotations
@@ -161,53 +162,57 @@ def _collect(arity: int, degree: int, pieces) -> PForm:
                                  for subset, (polys, signs) in grouped.items()})
 
 
+def _numerators(form: PForm, layout) -> tuple:
+    """``(numerators, den)``: the coefficients of ``form`` by index tuple as
+    integer numerators packed by the grevlex ``layout``, over their common
+    denominator ``den``."""
+    den = lcm(*(p.den for p in form.coeffs.values()))
+    out = {}
+    for subset, p in form.coeffs.items():
+        num = p.num if p.layout is layout else _repack(p.num, p.layout, layout)
+        f = den // p.den
+        out[subset] = num if f == 1 else {m: c * f for m, c in num.items()}
+    return out, den
+
+
+def _product_sums(na: dict, nb: dict):
+    """(index tuple, numerators) for every coefficient of a ∧ b that some
+    product reaches, from the numerators ``na`` and ``nb`` of a and b by
+    index tuple, zeros dropped.  Each coefficient is summed on ints in one
+    pass over its products, and only when the generator reaches it."""
+    grouped = {}
+    for sa, a in na.items():
+        for sb, b in nb.items():
+            merged, sign = _merge_sign(sa, sb)
+            if merged is not None:
+                grouped.setdefault(merged, []).append((sign, a, b))
+    for merged, products in grouped.items():
+        out = {}
+        get = out.get
+        for sign, a, b in products:
+            for mb, cb in b.items():
+                cb *= sign
+                for ma, ca in a.items():
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+        yield merged, {m: c for m, c in out.items() if c}
+
+
 def _wedge_sums(a: PForm, b: PForm):
     """The coefficients of a ∧ b, one index tuple at a time.
 
-    Returns ``(layout, den, sums)``: ``sums`` yields (index tuple, numerators)
-    for every index tuple that some product reaches, the numerators, zeros
-    dropped, packed by the grevlex ``layout`` over the common denominator
-    ``den`` of every coefficient.  Each coefficient is summed on ints in one
-    pass over its products, and only when ``sums`` reaches it.
+    Returns ``(layout, den, sums)``: ``sums`` is ``_product_sums`` of the
+    numerators of a and b, packed by the grevlex ``layout`` of a field width
+    that holds every product, and ``den`` is their common denominator.
     """
     if a.arity != b.arity:
         raise ValueError("arity mismatch between forms")
     if a.degree + b.degree > a.arity or not a.coeffs or not b.coeffs:
         return None, 1, iter(())
-    # a field width that holds every product, and one denominator per factor
-    degrees = [max(p.total_degree() for p in form.coeffs.values()) for form in (a, b)]
-    layout = _layout(GREVLEX, a.arity, _width(sum(degrees)))
-    dens = [lcm(*(p.den for p in form.coeffs.values())) for form in (a, b)]
-
-    def scaled(form, den):
-        out = {}
-        for subset, p in form.coeffs.items():
-            num = p.num if p.layout is layout else _repack(p.num, p.layout, layout)
-            f = den // p.den
-            out[subset] = num if f == 1 else {m: c * f for m, c in num.items()}
-        return out
-
-    grouped = {}
-    nums_b = scaled(b, dens[1])
-    for sa, na in scaled(a, dens[0]).items():
-        for sb, nb in nums_b.items():
-            merged, sign = _merge_sign(sa, sb)
-            if merged is not None:
-                grouped.setdefault(merged, []).append((sign, na, nb))
-
-    def sums():
-        for merged, products in grouped.items():
-            out = {}
-            get = out.get
-            for sign, na, nb in products:
-                for mb, cb in nb.items():
-                    cb *= sign
-                    for ma, ca in na.items():
-                        m = ma + mb
-                        out[m] = get(m, 0) + ca * cb
-            yield merged, {m: c for m, c in out.items() if c}
-
-    return layout, dens[0] * dens[1], sums()
+    degree = sum(max(p.total_degree() for p in form.coeffs.values()) for form in (a, b))
+    layout = _layout(GREVLEX, a.arity, _width(degree))
+    (na, da), (nb, db) = _numerators(a, layout), _numerators(b, layout)
+    return layout, da * db, _product_sums(na, nb)
 
 
 def wedge(a: PForm, b: PForm) -> PForm:
@@ -279,12 +284,34 @@ def radial_contraction(a: PForm) -> PForm:
     return _collect(a.arity, a.degree - 1, pieces)
 
 
-def _wedge_test(a: PForm, step, what: str) -> bool:
-    """Whether step(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi."""
-    if a.degree < 1:
-        raise ValueError(f"{what} is only defined for forms of degree >= 1")
-    return all(_wedge_is_zero(step(contract(a, xi)), a)
-               for xi in itertools.combinations(range(a.arity), a.degree - 1))
+def _derivative_of_contraction(nums: dict, xi: tuple, layout) -> dict:
+    """The numerators of d(i_Xi a) from the numerators ``nums`` of a, by
+    index tuple: the contraction by the coordinate multivector ``xi`` as
+    ``contract`` takes it, then the derivative as ``exterior_derivative``
+    takes it, with each sign carried to the partial derivatives."""
+    shifts, weights, cap = layout.shifts, layout.weights, layout.cap
+    out = {}
+    for subset, num in nums.items():
+        sign, rest = 1, subset
+        for index in reversed(xi):  # the rightmost field first
+            if index not in rest:
+                break
+            k = rest.index(index)
+            rest = rest[:k] + rest[k + 1:]
+            sign = -sign if k % 2 else sign
+        else:
+            for i in range(layout.arity):
+                if i in rest:
+                    continue
+                merged, order = _merge_sign((i,), rest)
+                acc = out.setdefault(merged, {})
+                get, shift, weight, f = acc.get, shifts[i], weights[i], sign * order
+                for m, c in num.items():
+                    e = (m >> shift) & cap
+                    if e:
+                        m -= weight
+                        acc[m] = get(m, 0) + f * e * c
+    return {subset: {m: c for m, c in acc.items() if c} for subset, acc in out.items()}
 
 
 def plucker_check(a: PForm) -> bool:
@@ -297,17 +324,30 @@ def plucker_check(a: PForm) -> bool:
     2 (i_Xi a) ∧ a and a form whose every coordinate contraction vanishes is
     zero.
     """
+    if a.degree < 1:
+        raise ValueError("decomposability is only defined for forms of degree >= 1")
     if a.degree == 1:
         return True
     if a.degree == 2:
         return _wedge_is_zero(a, a)
-    return _wedge_test(a, lambda form: form, "decomposability")
+    return all(_wedge_is_zero(contract(a, xi), a)
+               for xi in itertools.combinations(range(a.arity), a.degree - 1))
 
 
 def frobenius_check(a: PForm) -> bool:
     """Integrability of the distribution cut out by a q-form.
 
     Requires d(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi;
-    for q = 1 this is the classical da ∧ a = 0.
+    for q = 1 this is the classical da ∧ a = 0.  Each d(i_Xi a) is formed on
+    the integer numerators of a and goes into the product loop as they are.
     """
-    return _wedge_test(a, exterior_derivative, "integrability")
+    if a.degree < 1:
+        raise ValueError("integrability is only defined for forms of degree >= 1")
+    if not a.coeffs:
+        return True
+    degree = max(p.total_degree() for p in a.coeffs.values())
+    layout = _layout(GREVLEX, a.arity, _width(2 * degree))
+    nums, _ = _numerators(a, layout)  # a constant factor moves no zero test
+    return not any(num for xi in itertools.combinations(range(a.arity), a.degree - 1)
+                   for _, num in _product_sums(_derivative_of_contraction(nums, xi, layout),
+                                               nums))

@@ -190,6 +190,51 @@ def _signed_sum(polys, signs) -> "Poly":
     return _make(layout, {m: c for m, c in out.items() if c}, den)
 
 
+def linear_substitution(polys, rows, images: dict) -> list:
+    """The polynomials with each variable x_i replaced by the linear form
+    sum_j rows[i][j] x_j, for integer rows.
+
+    ``images`` memoises the integer image of each monomial, by field width
+    and packed monomial; callers pass the same dict for the same rows, so a
+    monomial is expanded once however many polynomials hold it.  The image
+    of a monomial is that of the monomial with one x_i fewer, times the form
+    of x_i, for its first variable x_i."""
+    if not polys:
+        return []
+    layout = _layout(GREVLEX, polys[0].arity, _width(max(p.total_degree() for p in polys)))
+    shifts, weights, cap = layout.shifts, layout.weights, layout.cap
+    forms = [{w: c for w, c in zip(weights, row) if c} for row in rows]
+    memo = images.setdefault(layout.bits, {0: {0: 1}})
+
+    def image(m: int) -> dict:
+        chain = []
+        while m not in memo:
+            i = next(i for i, s in enumerate(shifts) if (m >> s) & cap)
+            chain.append((m, forms[i]))
+            m -= weights[i]
+        out = memo[m]
+        for m, form in reversed(chain):
+            product = {}
+            get = product.get
+            for w, c in form.items():
+                for k, d in out.items():
+                    k += w
+                    product[k] = get(k, 0) + c * d
+            out = memo[m] = {k: d for k, d in product.items() if d}
+        return out
+
+    out = []
+    for p in polys:
+        num = p.num if p.layout is layout else _repack(p.num, p.layout, layout)
+        total = {}
+        get = total.get
+        for m, c in num.items():
+            for k, d in image(m).items():
+                total[k] = get(k, 0) + c * d
+        out.append(_make(layout, {k: d for k, d in total.items() if d}, p.den))
+    return out
+
+
 class Poly:
     """A sparse polynomial with rational coefficients.
 

@@ -25,6 +25,18 @@ the locus statements compare zero sets, so they are checked by mutual
 radical membership, which is insensitive to embedded or non-reduced
 structure.  Both results are recorded when they differ.
 
+The ideals are built from the divisors alone, so a linear change of
+coordinates carries each of them to the same ideal of the moved
+arrangement, and keeps every membership, equality, radical equality and
+dimension.  An arrangement of hyperplanes is therefore computed in
+coordinates y = Mx in which n+1 independent ones of them are coordinate
+functions (``foliation.adapted_coordinates``): the form and the ideals are
+sparse there, and monomial when s <= n+1.  Every generator a report prints
+is carried back to the spec's coordinates and reduced there, so reports
+read as if computed in the spec's coordinates throughout; an arrangement
+with a divisor of higher degree, where the substitution would make it
+dense, is computed as given.
+
 One instance is one ``SchemeIdeals``: its form, its ideals and the paper's
 hypotheses on it are each computed on first use and then kept.  A check is
 a function of the instance returning ``(passed, details)``; ``_run`` times
@@ -41,6 +53,7 @@ from functools import cached_property
 
 from .foliation import (
     ValidatedSpec,
+    adapted_coordinates,
     build_form,
     degenerate_strata,
     format_subset,
@@ -65,6 +78,7 @@ from .groebner import (
     projective_dimension,
     radical_membership,
 )
+from .poly import linear_substitution
 
 
 def singular_ideal(form: PForm) -> Ideal:
@@ -116,18 +130,42 @@ class SchemeIdeals:
 
     Each attribute is computed on first use and kept, so every ideal, and
     the Groebner bases cached on it, is built once per instance.  The
-    attributes call the module-level constructors by name.  ``printed``
-    maps each reduced generator the report has printed to its text, so a
+    attributes call the module-level constructors by name.
+
+    The form and the ideals are those of ``work``: the instance in adapted
+    coordinates y = Mx (``foliation.adapted_coordinates``) when ``adapt``
+    and the divisors are hyperplanes, with ``matrix`` holding M, and the
+    instance ``vs`` itself otherwise, with ``matrix`` None.  The hypotheses
+    are read from ``vs``.  ``spec_basis`` carries a reduced basis back to
+    the spec's coordinates, once per distinct basis, and ``printed`` maps
+    each reduced generator the report has printed to its text, so a
     polynomial is printed once per instance however many checks list it.
     """
 
-    def __init__(self, vs: ValidatedSpec):
+    def __init__(self, vs: ValidatedSpec, adapt: bool = True):
         self.vs = vs
         self.printed = {}
+        change = adapted_coordinates(vs) if adapt else None
+        self.matrix, self.work = change or (None, vs)
+        self._spec_bases = {}
+        self._images = {}
+
+    def spec_basis(self, ideal: Ideal) -> tuple:
+        """The reduced grevlex basis of one of the instance's ideals, in the
+        spec's coordinates: y_i becomes (row i of M).x in each element of its
+        basis, and the results are reduced again."""
+        basis = ideal.groebner_basis()
+        if self.matrix is None:
+            return basis
+        out = self._spec_bases.get(basis)
+        if out is None:
+            images = linear_substitution(basis, self.matrix, self._images)
+            out = self._spec_bases[basis] = Ideal(self.vs.arity, images).groebner_basis()
+        return out
 
     @cached_property
     def form(self) -> PForm:
-        return build_form(self.vs)
+        return build_form(self.work)
 
     @cached_property
     def singular(self) -> Ideal:
@@ -139,11 +177,11 @@ class SchemeIdeals:
 
     @cached_property
     def persistent_sum(self) -> Ideal:
-        return persistent_sum(self.vs)
+        return persistent_sum(self.work)
 
     @cached_property
     def persistent_cap(self) -> Ideal:
-        return persistent_cap(self.vs)
+        return persistent_cap(self.work)
 
     @cached_property
     def residual(self) -> Ideal:
@@ -164,6 +202,12 @@ class SchemeIdeals:
                                   for K in degenerate_strata(vs.lambdas, vs.q, vs.s)],
         }
 
+    @cached_property
+    def structure(self) -> dict:
+        """Whether the form is integrable and whether it is decomposable: a
+        q-form defines a codimension-q foliation only when both hold."""
+        return {"integrable": frobenius_check(self.form), "decomposable": plucker_check(self.form)}
+
 
 # ---------------------------------------------------------------------------
 # checks
@@ -182,11 +226,12 @@ class CheckResult:
 
 
 def generator_strings(ids: SchemeIdeals, ideal: Ideal) -> list:
-    """The reduced grevlex generators of one of the instance's ideals,
-    printed; each distinct polynomial is printed once per instance."""
+    """The reduced grevlex generators of one of the instance's ideals, in
+    the spec's coordinates, printed; each distinct polynomial is printed
+    once per instance."""
     printed = ids.printed
     out = []
-    for g in ideal.groebner_basis():
+    for g in ids.spec_basis(ideal):
         text = printed.get(g)
         if text is None:
             text = printed[g] = str(g)
@@ -217,7 +262,10 @@ def radical_equal(I: Ideal, J: Ideal):
 
 def _precondition_details(ids: SchemeIdeals, residues: bool) -> dict:
     """Report fields of the hypotheses: simple normal crossings at every
-    depth and, with ``residues``, no degenerate residue stratum."""
+    depth and, with ``residues``, no degenerate residue stratum and a form
+    that defines a foliation.  A residue matrix builds a wedge of closed
+    logarithmic 1-forms, integrable and decomposable by construction, so
+    only a raw table is tested."""
     violations = ids.preconditions["violations"]
     details = {"precondition_ok": True, "violations": violations}
     problems = ["snc at " + ", ".join(violations)] if violations else []
@@ -226,6 +274,10 @@ def _precondition_details(ids: SchemeIdeals, residues: bool) -> dict:
         details["degenerate_strata"] = strata
         if strata:
             problems.append("degenerate residues at " + ", ".join(strata))
+        if ids.vs.spec.mode == "raw":
+            failed = [name for name, holds in ids.structure.items() if not holds]
+            if failed:
+                problems.append("form not " + " and not ".join(failed))
     if problems:
         details["precondition_ok"] = False
         details["message"] = "precondition violated: " + "; ".join(problems)
@@ -257,7 +309,7 @@ def _identities(ids: SchemeIdeals):
     form = ids.form
     codim = ids.vs.n - projective_dimension(ids.singular)
     details = {"radial_contraction_zero": radial_contraction(form).is_zero,
-               "integrable": frobenius_check(form), "decomposable": plucker_check(form),
+               **ids.structure,
                "coefficient_ideal_projective_codim": codim,
                "coefficient_ideal_positive_codim": codim >= 1}
     return all(v for v in details.values() if isinstance(v, bool)), details
@@ -305,14 +357,19 @@ def _residual_dimension(ids: SchemeIdeals):
                            "generators": generator_strings(ids, ids.residual)}
 
 
-def _same_locus(I: Ideal, J: Ideal):
-    """``radical_equal`` as a check: the witness is reported when there is one."""
-    same, witness = radical_equal(I, J)
+def _same_locus(ids: SchemeIdeals, pair):
+    """``radical_equal`` of the two ideals ``pair(ids)`` as a check: the
+    witness is reported when there is one.  It names a generator as the
+    ideals are built in the spec's coordinates, so an instance in adapted
+    coordinates builds the pair again in the spec's own to find it."""
+    same, witness = radical_equal(*pair(ids))
+    if not same and ids.matrix is not None:
+        same, witness = radical_equal(*pair(SchemeIdeals(ids.vs, adapt=False)))
     return same, {"radical_equal": same, **({"witness": witness} if witness else {})}
 
 
 def _kupka_formula(ids: SchemeIdeals):
-    same, details = _same_locus(ids.kupka, ids.persistent_cap)
+    same, details = _same_locus(ids, lambda i: (i.kupka, i.persistent_cap))
     details["ideals_equal"] = ideal_equal(ids.kupka, ids.persistent_cap)
     details["persistent_generators"] = generator_strings(ids, ids.persistent_cap)
     return same, details
@@ -324,7 +381,7 @@ def _disjointness(ids: SchemeIdeals):
 
 
 def _singular_consistency(ids: SchemeIdeals):
-    return _same_locus(ids.singular, ideal_intersection(ids.kupka, ids.residual))
+    return _same_locus(ids, lambda i: (i.singular, ideal_intersection(i.kupka, i.residual)))
 
 
 def verify_identities(ids: SchemeIdeals) -> CheckResult:

@@ -314,9 +314,10 @@ def test_criterion_7_invariance_suite():
             direct = SchemeIdeals(vs_p)
             original = SchemeIdeals(vs)
             for attr in ("singular", "kupka", "residual"):
-                transported = Ideal(arity, [g.permuted(perm)
-                                            for g in getattr(original, attr).generators])
-                assert ideal_equal(getattr(direct, attr), transported), (label, attr)
+                transported = Ideal(arity, [g.permuted(perm) for g in
+                                            original.spec_basis(getattr(original, attr))])
+                assert ideal_equal(Ideal(arity, direct.spec_basis(getattr(direct, attr))),
+                                   transported), (label, attr)
 
 
 # ---------------------------------------------------------------------------

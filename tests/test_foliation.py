@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 from functools import reduce
@@ -28,6 +29,8 @@ from logfol.poly import Poly
 from logfol.sampling import random_linear_form, random_smooth_quadric, random_validated_spec
 
 from conftest import P, variables
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def coordinate_spec(n, q, s, matrix):
@@ -69,6 +72,55 @@ def test_duplicate_residues_rejected_at_generic():
                for f in failures)
     # the same spec is fine at basic level
     validate_spec(coordinate_spec(2, 1, 3, [[1, 1, -2]]), "basic")
+
+
+def _fraction_genericity(lam) -> list:
+    """The genericity failures found by sorting the rational scalars."""
+    out = [f"[genericity] subset {foliation.format_subset(I)}: residue scalar is zero"
+           for I, value in lam.items() if value == 0]
+    by_value = {}
+    for I, value in sorted(lam.items()):
+        by_value.setdefault(value, []).append(I)
+    for value, subsets in sorted(by_value.items()):
+        if value != 0 and len(subsets) > 1:
+            listed = ", ".join(foliation.format_subset(I) for I in subsets)
+            out.append(f"[genericity] subsets {listed}: residue scalar {value} repeats: "
+                       "not pairwise distinct")
+    return out
+
+
+def test_genericity_on_integers_matches_the_rational_order():
+    """The genericity failures of the ``repeated-residue`` specs of the
+    check benchmark, their messages and order, against sorting the
+    rational scalars: as drawn, with each residue row divided by a
+    different integer, and as the raw table of those scalars with a zero
+    and two repeated values put first."""
+    import sys
+    sys.path.insert(0, BENCH)
+    import instances
+    from logfol.cli import parse_spec_document
+
+    rng = instances.rng_for("check-snc", "genericity")
+    seen = 0
+    for n, q, s in instances.CHECK_SHAPES:
+        doc = instances.check_spec(rng, n, q, s, "repeated-residue")
+        scaled = dict(doc, residue_matrix=[[f"{c}/{k + 2}" for c in row]
+                                           for k, row in enumerate(doc["residue_matrix"])])
+        lam = lambda_table(parse_spec_document(scaled, "scaled").spec)
+        raw = {k: v for k, v in scaled.items() if k != "residue_matrix"}
+        # zero at the first subset; the next two repeat a large value, and
+        # the two after them a small one
+        values = [0, 1000, 1000, "-1000/3", "-1000/3"] + [str(v) for v in lam.values()][5:]
+        raw["lambdas"] = {",".join(str(i + 1) for i in subset): value
+                          for subset, value in zip(lam, values)}
+        for variant in (doc, scaled, raw):
+            spec = parse_spec_document(variant, "spec").spec
+            with pytest.raises(SpecValidationError) as err:
+                validate_spec(spec, "generic")
+            found = [str(f) for f in err.value.failures if f.check == "genericity"]
+            assert found == _fraction_genericity(lambda_table(spec)) and found
+            seen += len(found)
+    assert seen > 3 * len(instances.CHECK_SHAPES)
 
 
 def test_zero_residue_rejected_at_generic():

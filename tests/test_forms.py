@@ -294,6 +294,32 @@ def test_frobenius_detects_non_integrable():
     assert not frobenius_check(a)
 
 
+def test_frobenius_matches_the_form_built_test():
+    """The integrability test on integer numerators against d(i_Xi a) ∧ a
+    built as forms, on seeded forms of degree 1-3 with rational
+    coefficients: random ones, which are seldom integrable, and g times a
+    wedge of exact 1-forms df_i, which always is."""
+    rng = random.Random(2208)
+    seen = set()
+    for case in range(36):
+        arity = rng.randint(3, 5)
+        degree = 1 + case % 3
+        if case % 2:
+            exact = [exterior_derivative(PForm(arity, 0, {(): random_poly(rng, arity, 2, terms=3)}))
+                     for _ in range(degree)]
+            a = exact[0]
+            for b in exact[1:]:
+                a = wedge(a, b)
+            a = a * (random_poly(rng, arity, 2, terms=2) * Fraction(3, 7) + 1)
+        else:
+            a = rational_form(rng, arity, degree)
+        built = all(wedge(exterior_derivative(contract(a, xi)), a).is_zero
+                    for xi in itertools.combinations(range(arity), degree - 1))
+        assert frobenius_check(a) == built
+        seen.add((degree, built))
+    assert {built for _, built in seen} == {True, False}
+
+
 def test_checks_reject_zero_degree():
     with pytest.raises(ValueError):
         plucker_check(PForm(3, 0, {(): Poly.one(3)}))

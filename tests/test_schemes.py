@@ -442,9 +442,9 @@ def test_permutation_equivariance():
     ids = SchemeIdeals(vs)
     ids_p = SchemeIdeals(vs_p)
     for attr in ("singular", "kupka", "persistent_sum", "persistent_cap", "residual"):
-        direct = getattr(ids_p, attr)
+        direct = Ideal(4, ids_p.spec_basis(getattr(ids_p, attr)))
         transported = Ideal(4, [g.permuted(perm)
-                                for g in getattr(ids, attr).generators])
+                                for g in ids.spec_basis(getattr(ids, attr))])
         assert ideal_equal(direct, transported), attr
 
 
@@ -467,3 +467,177 @@ def test_cap_locus_is_union_of_deep_intersections():
         stratum = Ideal(vs.arity, [vs.divisors[i] for i in subset])
         for g in cap.generators:
             assert radical_membership(g, stratum)
+
+
+# -- adapted coordinates -----------------------------------------------------------------
+
+# where each report names each of the five ideals: (check or None for
+# ``compute``, key path) -> ideal
+_PRINTED = {
+    (None, ("singular", "generators")): "singular", (None, ("kupka", "generators")): "kupka",
+    (None, ("persistent_sum", "generators")): "sum",
+    (None, ("persistent_cap", "generators")): "cap",
+    ("sing", ("generators",)): "singular", ("kupka", ("generators",)): "kupka",
+    ("persistent", ("sum", "generators")): "sum", ("persistent", ("cap", "generators")): "cap",
+    ("lemma", ("sum_generators",)): "sum", ("lemma", ("cap_generators",)): "cap",
+    ("kupka-codimension", ("generators",)): "kupka",
+    ("residual-dimension", ("generators",)): "residual",
+    ("kupka-formula", ("persistent_generators",)): "cap",
+}
+
+
+def _printed_bases(report) -> list:
+    """(ideal, generator list) for every generator list a report prints."""
+    blocks = {None: report.get("ideals", {})}
+    blocks.update((c["name"], c["details"]) for c in report.get("checks", []))
+    out = []
+    for (check, path), ideal in _PRINTED.items():
+        value = blocks.get(check, {})
+        for key in path:
+            value = value.get(key, {})
+        if value != {}:
+            out.append((ideal, value))
+    return out
+
+
+def _oracle_bases(doc) -> dict:
+    """The five reduced bases from the module-level constructors, in the
+    spec's coordinates."""
+    vs = validate_spec(doc.spec, "basic")
+    form = build_form(vs)
+    J = singular_ideal(form)
+    K = kupka_ideal(form, J)
+    ideals = {"singular": J, "kupka": K, "sum": persistent_sum(vs),
+              "cap": persistent_cap(vs), "residual": residual_ideal(J, K)}
+    return {name: [str(g) for g in ideal.groebner_basis()] for name, ideal in ideals.items()}
+
+
+def _adapted_oracle_docs() -> dict:
+    rng = random.Random(2208)
+    docs = {}
+    for k in range(8):
+        n = rng.choice([2, 3, 4])
+        q = rng.randint(1, n - 1)
+        s = rng.randint(max(q + 1, n), n + 2)
+        rows = [[rng.choice([-2, -1, 0, 1, 3]) if rng.random() < 0.6 else 0
+                 for _ in range(n + 1)] for _ in range(s)]
+        for row in rows:
+            row[rng.randrange(n + 1)] = rng.choice([1, 2, -3])
+        matrix = []
+        for _ in range(q):
+            head = [rng.randint(-5, 5) for _ in range(s - 1)]
+            matrix.append(head + [-sum(head)])
+        text = [" + ".join(f"{c}*x{j}" for j, c in enumerate(row) if c) for row in rows]
+        docs[f"random-{k}"] = {"n": n, "q": q, "divisors": text, "residue_matrix": matrix}
+    docs["concurrent-lines"] = {"n": 2, "q": 1, "divisors": ["x0 + x1", "x0 - x1", "x0 + 2*x1"],
+                                "residue_matrix": [[1, 2, -3]]}
+    docs["concurrent-planes"] = {"n": 3, "q": 1,
+                                 "divisors": ["x0 + x1 + x2", "x0 - x2", "x1 + 2*x2", "x3",
+                                              "x0 + x1 - x3"],
+                                 "residue_matrix": [[1, 2, -3, 4, -4]]}
+    docs["cone"] = {"n": 4, "q": 1,
+                    "divisors": ["x3", "x1", "x2", "x4", "-2*x1 + 3*x2 - 3*x3 - x4"],
+                    "residue_matrix": [[-3, 1, -2, -1, 5]]}
+    docs["raw"] = {"n": 3, "q": 2, "divisors": ["x0", "x1 + x2", "x2 - x3", "x0 + x1 + x3"],
+                   # half the minors of [[1, 2, -4, 1], [1, -1, 1, -1]]
+                   "lambdas": {"1,2": "-3/2", "1,3": "5/2", "1,4": -1, "2,3": -1,
+                               "2,4": "-1/2", "3,4": "3/2"}}
+    docs["variables"] = {"n": 2, "q": 1, "variables": ["a", "b", "c"],
+                         "divisors": ["a + b", "b - 2*c", "a + b + c", "c"],
+                         "residue_matrix": [[1, 2, 3, -6]]}
+    docs["coordinates"] = {"n": 3, "q": 1, "divisors": ["x2", "x0", "x3", "x1"],
+                           "residue_matrix": [[1, 2, 3, -6]]}
+    return docs
+
+
+def _without_seconds(report):
+    if isinstance(report, dict):
+        return {k: _without_seconds(v) for k, v in report.items() if k != "seconds"}
+    if isinstance(report, list):
+        return [_without_seconds(v) for v in report]
+    return report
+
+
+def test_adapted_coordinates_print_the_spec_bases(monkeypatch):
+    """Every basis that ``verify --waive-preconditions`` and ``compute --which
+    all`` print, on seeded hyperplane arrangements, rank-deficient ones, a raw
+    table, custom variables and an arrangement of coordinate hyperplanes,
+    equals the reduced basis that the module-level constructors give in the
+    spec's coordinates; and each report, witnesses included, is the one
+    computed in the spec's coordinates throughout."""
+    adapted, verdicts = 0, set()
+    for label, payload in _adapted_oracle_docs().items():
+        payload = dict(payload, validation_level="basic")
+        doc = cli.parse_spec_document(payload, label)
+        adapted += SchemeIdeals(validate_spec(doc.spec, "basic")).matrix is not None
+        oracle = _oracle_bases(doc)
+        runs = [lambda: cli.run_verify(doc, waive=True), lambda: cli.run_compute(doc, "all")]
+        for run in runs:
+            report, code = run()
+            verdicts.add(report["verdict"])
+            printed = _printed_bases(report)
+            assert len(printed) >= 4, label
+            for ideal, generators in printed:
+                assert generators == oracle[ideal], (label, ideal)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "SchemeIdeals", lambda vs: SchemeIdeals(vs, adapt=False))
+                plain, plain_code = run()
+            assert _without_seconds(plain) == _without_seconds(report) and plain_code == code, label
+    assert adapted >= 10 and verdicts == {"pass", "fail"}
+
+
+def test_adapted_coordinates_of_a_five_hyperplane_arrangement():
+    """The five hyperplanes of ``P4_Q2`` become the five coordinates, so the
+    adapted singular and Kupka ideals are monomial."""
+    ids = SchemeIdeals(validate_spec(P4_Q2, "full-snc"))
+    assert sorted(len(f.num) for f in ids.work.divisors) == [1] * 5
+    assert sorted(str(f) for f in ids.work.divisors) == [f"x{i}" for i in range(5)]
+    for ideal in (ids.singular, ids.kupka):
+        assert all(len(g.num) == 1 for g in ideal.groebner_basis())
+    assert ids.spec_basis(ids.kupka) == persistent_cap(ids.vs).groebner_basis()
+
+
+def test_adapted_coordinates_keep_the_spec_witness():
+    """A failed locus comparison names the generator the spec's coordinates
+    give it."""
+    doc = cli.parse_spec_document(
+        {"n": 2, "q": 1, "divisors": ["x0", "x1", "x0 + 2*x1 + 3*x2"],
+         "residue_matrix": [[1, 1, -2]], "validation_level": "basic"}, "witness")
+    assert SchemeIdeals(validate_spec(doc.spec, "basic")).matrix is not None
+    report, _ = cli.run_verify(doc, waive=True)
+    formula = next(c for c in report["checks"] if c["name"] == "kupka-formula")
+    assert formula["details"]["witness"] == \
+        "x0 + 2*x1 + 3*x2 not radical-member of the second ideal"
+
+
+def test_a_quadric_keeps_the_spec_coordinates():
+    spec = FoliationSpec(2, 1, [P("x0 + x1", 3), P("x0 - x2", 3), P("x0^2 + x1^2 + x2^2", 3)],
+                         residue_matrix=[[1, 3, -2]])
+    vs = validate_spec(spec, "generic")
+    ids = SchemeIdeals(vs)
+    assert ids.matrix is None and ids.work is vs
+    assert ids.spec_basis(ids.singular) == ids.singular.groebner_basis()
+
+
+def test_a_raw_table_that_is_no_foliation_fails_a_precondition():
+    """A raw table whose form is neither integrable nor decomposable: the
+    decomposition is skipped as a failed hypothesis, runs with the waiver
+    and carries the message, and ``identities`` fails the verdict."""
+    values = {"1,2": 7, "1,3": 9, "1,4": 2, "1,5": 3, "1,6": -21, "2,3": 4, "2,4": -8,
+              "2,5": -1, "2,6": 12, "3,4": -6, "3,5": -4, "3,6": 23, "4,5": -3, "4,6": -9,
+              "5,6": -5}
+    doc = cli.parse_spec_document(
+        {"n": 4, "q": 2, "divisors": ["x0", "x1", "x2", "x3", "x4",
+                                      "x0 + 2*x1 + 3*x2 + 5*x3 + 7*x4"],
+         "lambdas": values, "validation_level": "full-snc"}, "raw")
+    message = "precondition violated: form not integrable and not decomposable"
+    for waive in (False, True):
+        report, code = cli.run_verify(doc, waive)
+        assert (report["verdict"], code) == ("fail", cli.EXIT_CHECKS)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["identities"]["status"] == "fail"
+        assert checks["lemma"]["status"] == "pass"
+        for name, _ in schemes.DECOMPOSITION_CHECKS:
+            details = checks[name]["details"]
+            assert details["precondition_ok"] is False and details["message"] == message
+            assert (checks[name]["status"] == "skipped") != waive
