@@ -211,13 +211,6 @@ class ValidatedSpec:
     def divisors(self):
         return self.spec.divisors
 
-    @property
-    def degree_sum(self) -> int:
-        return sum(self.degrees)
-
-    def divisor_product(self) -> Poly:
-        return reduce(lambda a, b: a * b, self.divisors)
-
     def complement_product(self, subset) -> Poly:
         """Product of the divisors away from ``subset``."""
         out = Poly.one(self.arity)
@@ -448,27 +441,6 @@ def build_form(vs: ValidatedSpec) -> PForm:
         df_block = reduce(wedge, (differentials[i] for i in subset))
         total = total + df_block * (vs.complement_product(subset) * scalar)
     return total
-
-
-def factor_forms(vs: ValidatedSpec) -> list:
-    """Matrix mode only: the cleared 1-forms sum_i L[k][i] (prod_{j!=i} f_j) df_i.
-
-    Their wedge equals (prod f_i)^(q-1) times the built q-form, which is the
-    global decomposition property the matrix mode guarantees.
-    """
-    if vs.spec.mode != "matrix":
-        raise ValueError("factor forms exist only in matrix mode")
-    arity = vs.arity
-    out = []
-    for row in vs.spec.residue_matrix:
-        form = PForm(arity, 1)
-        for i, entry in enumerate(row):
-            if entry == 0:
-                continue
-            df = exterior_derivative(PForm(arity, 0, {(): vs.divisors[i]}))
-            form = form + df * (vs.complement_product((i,)) * entry)
-        out.append(form)
-    return out
 
 
 def degenerate_strata(lambdas: dict, q: int, s: int) -> list:

@@ -85,18 +85,6 @@ class PForm:
     def coefficient(self, subset) -> Poly:
         return self.coeffs.get(tuple(subset), Poly.zero(self.arity))
 
-    def homogeneous_coefficient_degree(self):
-        """Common degree of all coefficients, or None if mixed/zero."""
-        degs = set()
-        for poly in self.coeffs.values():
-            d = poly.homogeneous_degree()
-            if d is None:
-                return None
-            degs.add(d)
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     # -- linear structure ------------------------------------------------------
 
     def _combine(self, other, sign: int):

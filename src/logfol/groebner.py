@@ -2,7 +2,8 @@
 
 The engine is Buchberger's algorithm with the normal (degree first, then
 order) pair-selection strategy and the two classical pair-elimination
-criteria.  Everything else in the module reduces to it:
+criteria.  Everything else in the module reduces to it, or to exponent
+arithmetic when the ideals are monomial:
 
 * membership and normal forms come from the division algorithm,
 * intersections and colons by a polynomial are runs on submodules of the
@@ -25,7 +26,14 @@ criteria.  Everything else in the module reduces to it:
   ...), and f lies in the radical of I exactly when I : f^infinity is the
   unit ideal,
 * Krull dimension is the number of variables less the fewest variables
-  meeting the support of every leading monomial.
+  meeting the support of every leading monomial,
+* a monomial ideal, whose cached basis, or else whose generators, are
+  single terms, never enters the engine (Cox, Little & O'Shea, *Ideals,
+  Varieties, and Algorithms*, ch. 2 §4 and ch. 4 §3-4): its reduced basis
+  is its minimal generators, made monic, I : g for a single term g is
+  generated by the lcm(m, g) / g = m / gcd(m, g) of the generators m of
+  I, and the intersection of two by their pairwise lcms.  Each is
+  computed on packed grevlex monomials, wide enough for deg m + deg g.
 
 Every number is a Python int, and the engine speaks the representation
 of ``Poly`` (see ``poly.py``): integer numerators on monomials packed by a
@@ -66,6 +74,7 @@ from .poly import (
     _make,
     _Overflow,
     _repack,
+    _width,
 )
 
 
@@ -290,6 +299,10 @@ class Ideal:
     ``groebner_basis()`` computes the basis once and keeps it; every
     membership test, normal form and dimension reads it from the ideal,
     packed as engine entries at the widest field width asked for so far.
+    The ideal is monomial when each element of its cached basis, or each
+    generator while none is cached, is a single term; then its basis, its
+    colons by a single term and its intersections with another monomial
+    ideal come from exponent arithmetic, not from the engine.
     Every ideal arising from a foliation instance is homogeneous; the class
     does not insist on it.
     """
@@ -319,8 +332,11 @@ class Ideal:
     def groebner_basis(self) -> tuple:
         """The reduced, monic basis polynomials, by decreasing leading monomial."""
         if self._basis is None:
-            self._basis = ()
-            if self.generators:
+            terms = _single_terms(self)
+            if terms is not None:  # a monomial ideal, the zero ideal too
+                layout = _layout(GREVLEX, self.arity, _width(_max_degree(terms)))
+                self._basis = _minimal(layout, _packed_terms(terms, layout))
+            else:
                 layout, nums = _aligned(self.generators)
                 run, basis = groebner_terms(nums, layout)
                 self._basis = tuple(_make(run, num, den) for num, den in basis)
@@ -402,9 +418,43 @@ def _e0_coordinates(arity: int, vectors: list, known=()) -> Ideal:
     at_e1 = [{m + e1: c for m, c in nf.items()} for nf in nums[2 * len(vectors):]]
     run, basis = groebner_terms(gens, block, at_e1)
     rest = _layout(GREVLEX, arity, run.bits)
-    ideal = Ideal(arity, [_make(rest, num, den) for num, den in basis])
+    return _with_basis(arity, [_make(rest, num, den) for num, den in basis])
+
+
+def _with_basis(arity: int, basis) -> Ideal:
+    """The ideal generated by a reduced basis, with that basis cached."""
+    ideal = Ideal(arity, basis)
     ideal._basis = ideal.generators
     return ideal
+
+
+def _single_terms(I: Ideal):
+    """I's cached basis, or its generators when none is cached, if each is
+    a single term, so that I is a monomial ideal; else None."""
+    polys = I.generators if I._basis is None else I._basis
+    return polys if all(len(p.num) == 1 for p in polys) else None
+
+
+def _max_degree(polys) -> int:
+    return max((p.total_degree() for p in polys), default=0)
+
+
+def _packed_terms(polys, layout: _Layout) -> list:
+    """The monomials of single-term polynomials, packed by ``layout``."""
+    return [m if p.layout is layout else layout.pack(p.layout.unpack(m))
+            for p in polys for m in p.num]
+
+
+def _minimal(layout: _Layout, monomials) -> tuple:
+    """The reduced basis of the ideal of packed grevlex monomials: the
+    minimal ones, monic, by decreasing grevlex.  A proper divisor has the
+    smaller degree, so in increasing order it comes first."""
+    guard, flip = layout.guard, layout.flip
+    kept = []
+    for m in sorted(set(monomials), key=flip.__xor__):
+        if all((m - k) & guard for k in kept):
+            kept.append(m)
+    return tuple(_make(layout, {m: 1}) for m in reversed(kept))
 
 
 def _times_e1(I: Ideal) -> tuple:
@@ -424,7 +474,8 @@ def _has_constant(I: Ideal) -> bool:
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """Set-theoretic intersection: the e0 coordinates of the submodule
-    generated by f*e1 for f in I and g*(e1 + e0) for g in J.  When one side
+    generated by f*e1 for f in I and g*(e1 + e0) for g in J, or, when both
+    are monomial, the pairwise lcms of their generators.  When one side
     has a constant generator, it is the whole ring and the answer is the
     other side."""
     if I.arity != J.arity:
@@ -435,6 +486,12 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return J
     if _has_constant(J):
         return I
+    a, b = _single_terms(I), _single_terms(J)
+    if a is not None and b is not None:
+        layout = _layout(GREVLEX, I.arity, _width(_max_degree(a) + _max_degree(b)))
+        lcm, us = layout.lcm, _packed_terms(b, layout)
+        return _with_basis(I.arity, _minimal(
+            layout, [lcm(m, u)[0] for m in _packed_terms(a, layout) for u in us]))
     vectors, known = _times_e1(I)
     return _e0_coordinates(I.arity, vectors + [(g, g) for g in J.generators], known)
 
@@ -453,9 +510,16 @@ def intersect_all(ideals, arity: int) -> Ideal:
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
     """The colon ideal I : g = {h : h*g in I}: the e0 coordinates of the
-    submodule generated by f*e1 for f in I and g*e1 + e0."""
+    submodule generated by f*e1 for f in I and g*e1 + e0, or, for a monomial
+    I and a single term g, the lcm(m, g) / g of I's generators m."""
     if g.is_zero:
         raise ValueError("colon ideal by the zero polynomial")
+    terms = _single_terms(I)
+    if terms is not None and len(g.num) == 1:
+        layout = _layout(GREVLEX, I.arity, _width(_max_degree(terms) + g.total_degree()))
+        (u,), lcm = _packed_terms([g], layout), layout.lcm
+        return _with_basis(I.arity, _minimal(
+            layout, [lcm(m, u)[0] - u for m in _packed_terms(terms, layout)]))
     vectors, known = _times_e1(I)
     return _e0_coordinates(I.arity, vectors + [(g, Poly.one(I.arity))], known)
 

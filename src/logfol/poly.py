@@ -420,14 +420,6 @@ class Poly:
         degrees = {m >> shift for m in self.num}
         return degrees.pop() if len(degrees) == 1 else None
 
-    def permuted(self, perm) -> "Poly":
-        """Rename variables by ``perm``: x_i becomes x_{perm[i]}."""
-        if sorted(perm) != list(range(self.arity)):
-            raise ValueError("perm must be a permutation of the variable indices")
-        inverse = sorted(range(self.arity), key=lambda i: perm[i])
-        return Poly(self.arity, {tuple(mono[i] for i in inverse): coeff
-                                 for mono, coeff in self.terms.items()})
-
     # -- printing -------------------------------------------------------------
 
     def __str__(self):

@@ -31,6 +31,15 @@ def variables(arity: int):
     return [Poly.variable(arity, i) for i in range(arity)]
 
 
+def permuted_poly(p: Poly, perm) -> Poly:
+    """Rename variables by ``perm``: x_i becomes x_{perm[i]}."""
+    if sorted(perm) != list(range(p.arity)):
+        raise ValueError("perm must be a permutation of the variable indices")
+    inverse = sorted(range(p.arity), key=lambda i: perm[i])
+    return Poly(p.arity, {tuple(mono[i] for i in inverse): coeff
+                          for mono, coeff in p.terms.items()})
+
+
 def random_poly(rng: random.Random, arity: int, degree: int, terms: int = 4) -> Poly:
     out = {}
     for _ in range(terms):

@@ -62,6 +62,7 @@ from conftest import (
     oracle_dimension,
     oracle_intersection,
     oracle_saturation,
+    permuted_poly,
     random_monomial,
     random_monomial_ideal_gens,
     variables,
@@ -308,13 +309,13 @@ def test_criterion_7_invariance_suite():
             arity = vs.arity
             perm = tuple(reversed(range(arity)))
             permuted = FoliationSpec(vs.n, vs.q,
-                                     [f.permuted(perm) for f in vs.divisors],
+                                     [permuted_poly(f, perm) for f in vs.divisors],
                                      residue_matrix=vs.spec.residue_matrix)
             vs_p = validate_spec(permuted, "basic")
             direct = SchemeIdeals(vs_p)
             original = SchemeIdeals(vs)
             for attr in ("singular", "kupka", "residual"):
-                transported = Ideal(arity, [g.permuted(perm) for g in
+                transported = Ideal(arity, [permuted_poly(g, perm) for g in
                                             original.spec_basis(getattr(original, attr))])
                 assert ideal_equal(Ideal(arity, direct.spec_basis(getattr(direct, attr))),
                                    transported), (label, attr)

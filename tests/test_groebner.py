@@ -23,7 +23,7 @@ from logfol.groebner import (
     projective_dimension,
     radical_membership,
 )
-from logfol.poly import ELIMINATION, Poly, _layout, parse_poly
+from logfol.poly import ELIMINATION, Poly, _aligned, _layout, _make, parse_poly
 
 from conftest import (
     P,
@@ -538,6 +538,87 @@ def test_colon_by_a_cached_basis_is_one_run_with_it_known(monkeypatch):
     assert ideal_intersection(Ideal.unit(3), I) is I
     assert ideal_intersection(I, Ideal(3, [P("x0", 3), P("7", 3)])) is I
     assert known_sizes == []
+
+
+# -- monomial ideals: exponent arithmetic against the engine -----------------------------------
+
+def _engine_basis(gens):
+    """The engine's reduced basis of the ideal the polynomials generate."""
+    layout, nums = _aligned(gens)
+    run, basis = groebner.groebner_terms(nums, layout)
+    return tuple(_make(run, num, den) for num, den in basis)
+
+
+def _engine_colon(gens, g):
+    zero, one = Poly.zero(g.arity), Poly.one(g.arity)
+    return groebner._e0_coordinates(g.arity, [(f, zero) for f in gens] + [(g, one)])
+
+
+def _engine_intersection(gens_a, gens_b):
+    zero = Poly.zero(gens_a[0].arity)
+    return groebner._e0_coordinates(gens_a[0].arity,
+                                    [(f, zero) for f in gens_a] + [(h, h) for h in gens_b])
+
+
+def _single_term(rng, arity, top):
+    exps = tuple(rng.randint(1, top) if rng.random() < 0.6 else 0 for _ in range(arity))
+    return Poly(arity, {exps: rng.choice([1, 1, 3, -2, Fraction(1, 5)])})
+
+
+def test_monomial_ideals_take_exponent_arithmetic_and_match_the_engine(monkeypatch):
+    """Seeded monomial ideals in 2-5 variables, with repeated generators,
+    non-unit coefficients, constants and exponents past 127: the reduced
+    basis, a colon by a single term and an intersection come from exponent
+    arithmetic, with no engine run, and equal the engine's tuples exactly,
+    in order and field width."""
+    rng = random.Random(1601)
+    cases = []
+    for trial in range(80):
+        arity = 2 + trial % 4
+        top = 150 if trial % 5 == 0 else 3
+        a = [_single_term(rng, arity, top) for _ in range(rng.randint(1, 5))]
+        a += [a[0], 3 * a[-1]]  # an exact repeat and a multiple
+        b = [_single_term(rng, arity, top) for _ in range(rng.randint(1, 4))]
+        g = _single_term(rng, arity, top) if trial % 7 else Poly.const(arity, 7)
+        cases.append((a, b, g))
+    x0, x1, x2 = variables(3)
+    big = [P("x0^100*x1^27", 3), P("x1^127", 3)]
+    cases += [
+        ([3 * x0 * x1, Poly.const(3, 5), x2], [x0 * x0], x1),  # a constant generator
+        ([x0 * x1, x1 * x2], [x0], x0 * x1 * x2),              # a colon that gives (1)
+        (big, [P("x0^127", 3), P("x2^100", 3)], P("x0^90*x2^60", 3)),
+    ]
+    runs = []
+    terms = groebner.groebner_terms
+    monkeypatch.setattr(groebner, "groebner_terms",
+                        lambda gens, layout, known=(): runs.append(layout.name)
+                        or terms(gens, layout, known))
+    answers = []
+    for a, b, g in cases:
+        cached = Ideal(a[0].arity, a)
+        cached.groebner_basis()
+        answers.append((Ideal(a[0].arity, a).groebner_basis(),
+                        ideal_quotient(Ideal(a[0].arity, a), g).groebner_basis(),
+                        ideal_quotient(cached, g).groebner_basis(),
+                        ideal_intersection(Ideal(a[0].arity, a), Ideal(a[0].arity, b)),
+                        ideal_intersection(cached, Ideal(a[0].arity, b)).groebner_basis()))
+    assert runs == []
+    widths, units = set(), 0
+    for (a, b, g), (basis, colon, colon_cached, cap, cap_cached) in zip(cases, answers):
+        assert basis == _engine_basis(a)
+        assert colon == colon_cached == _engine_colon(a, g).groebner_basis()
+        if any(p.total_degree() == 0 for p in a):
+            assert Ideal(a[0].arity, a).is_unit and cap.generators == Ideal(g.arity, b).generators
+            units += 1
+            continue
+        assert cap.groebner_basis() == cap_cached == _engine_intersection(a, b).groebner_basis()
+        widths.update(p.layout.bits for p in cap.groebner_basis() + colon)
+    assert Ideal(3, [x0 * x1, x1 * x2]).groebner_basis() == (x0 * x1, x1 * x2)
+    assert ideal_quotient(Ideal(3, [x0 * x1, x1 * x2]), x0 * x1 * x2).is_unit
+    assert ideal_quotient(Ideal(3, big), Poly.const(3, 7)).groebner_basis() \
+        == Ideal(3, big).groebner_basis()
+    assert widths == {7, 14}  # lcms past degree 127 cross the narrowest width
+    assert 0 < units < 20
 
 
 # -- independent oracle: SymPy's reduced Groebner bases ----------------------------------------

@@ -33,7 +33,7 @@ from logfol.schemes import (
     verify_lemma,
 )
 
-from conftest import P, variables
+from conftest import P, permuted_poly, variables
 
 
 def coordinate_vs(n, q, s, matrix, level="full-snc"):
@@ -112,10 +112,13 @@ P4_Q2 = FoliationSpec(4, 2, [P(f, 5) for f in ("x0 + x1 + 3*x2 - 3*x3 - 3*x4", "
 
 
 def test_kupka_ideal_run_counts(monkeypatch):
-    """Counted work, no wall clock: with the singular basis cached, as
-    ``verify`` has it, the Kupka ideal of a P^4 instance takes two colons and
-    one intersection, all module runs, and keeps its basis, so asking for it
-    runs nothing.  It is J + ann, and ann is the intersection of every colon."""
+    """Counted work, no wall clock: with the singular basis cached, the Kupka
+    ideal of a P^4 instance built in the spec's coordinates takes two colons
+    and one intersection, all module runs, and keeps its basis, so asking for
+    it runs nothing.  It is J + ann, and ann is the intersection of every
+    colon.  ``verify`` builds this instance in adapted coordinates instead,
+    where its ideals are monomial and make no engine run at all
+    (``test_monomial_instances_make_no_engine_run``)."""
     form = build_form(validate_spec(P4_Q2, "full-snc"))
     J = singular_ideal(form)
     J.groebner_basis()
@@ -134,6 +137,38 @@ def test_kupka_ideal_run_counts(monkeypatch):
     components = list(exterior_derivative(form).coeffs.values())
     every = intersect_all([ideal_quotient(J, b) for b in components], 5)
     assert ideal_equal(K, every) and ideal_equal(K, ideal_sum(J, K))
+
+
+def test_monomial_instances_make_no_engine_run(monkeypatch):
+    """With s <= n+1 hyperplanes every ideal is monomial in adapted
+    coordinates: the Kupka ideal, the cap, the residual ideal and the
+    singular ideal's dimension make no engine run, grevlex or module.  Four
+    lines of P^2 (s = n+2) are not monomial there; they still take the
+    engine, module runs included, and give the bases of the spec's
+    coordinates."""
+    runs = []
+    terms = groebner.groebner_terms
+    monkeypatch.setattr(groebner, "groebner_terms",
+                        lambda gens, layout, known=(): runs.append(layout.name)
+                        or terms(gens, layout, known))
+    ids = SchemeIdeals(validate_spec(P4_Q2, "full-snc"))
+    assert ids.matrix is not None
+    for ideal in (ids.kupka, ids.persistent_cap, ids.residual):
+        assert ideal.groebner_basis()
+    assert projective_dimension(ids.singular) == 1 and ids.residual.is_unit
+    assert runs == []
+
+    lines = FoliationSpec(2, 1, [P(f, 3) for f in ("x0", "x1", "x0 + x1 + x2", "x0 - 2*x1 + 3*x2")],
+                          residue_matrix=[[1, 2, 3, -6]])
+    vs = validate_spec(lines, "full-snc")
+    ids, plain = SchemeIdeals(vs), SchemeIdeals(vs, adapt=False)
+    assert ids.matrix is not None
+    for attr in ("singular", "kupka", "persistent_sum", "persistent_cap", "residual"):
+        runs.clear()
+        ideal = getattr(ids, attr)
+        assert ids.spec_basis(ideal) == getattr(plain, attr).groebner_basis(), attr
+        if attr in ("kupka", "persistent_cap"):
+            assert ELIMINATION in runs, attr
 
 
 def test_singular_consistency_with_no_residual_makes_no_module_run(monkeypatch):
@@ -436,14 +471,14 @@ def test_permutation_equivariance():
                          [P("x0 + x3", 4), P("x1 - 2*x3", 4), P("x2", 4), P("x0 + x1 + x2", 4)],
                          residue_matrix=[[1, 2, 3, -6]])
     vs = validate_spec(spec, "generic")
-    permuted_spec = FoliationSpec(3, 1, [f.permuted(perm) for f in spec.divisors],
+    permuted_spec = FoliationSpec(3, 1, [permuted_poly(f, perm) for f in spec.divisors],
                                   residue_matrix=[[1, 2, 3, -6]])
     vs_p = validate_spec(permuted_spec, "generic")
     ids = SchemeIdeals(vs)
     ids_p = SchemeIdeals(vs_p)
     for attr in ("singular", "kupka", "persistent_sum", "persistent_cap", "residual"):
         direct = Ideal(4, ids_p.spec_basis(getattr(ids_p, attr)))
-        transported = Ideal(4, [g.permuted(perm)
+        transported = Ideal(4, [permuted_poly(g, perm)
                                 for g in ids.spec_basis(getattr(ids, attr))])
         assert ideal_equal(direct, transported), attr
 
