@@ -14,7 +14,6 @@ from .foliation import (
     ValidatedSpec,
     ValidationFailure,
     build_form,
-    lambda_table,
     validate_spec,
 )
 from .forms import (

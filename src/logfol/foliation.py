@@ -170,12 +170,6 @@ def _residue_scalars(spec: FoliationSpec) -> tuple:
     return {subset: _minor(rows, subset) for subset in spec.subsets()}, math.prod(scales)
 
 
-def lambda_table(spec: FoliationSpec) -> dict:
-    """Residue scalar for every q-subset: minors in matrix mode, as given in raw mode."""
-    scalars, scale = _residue_scalars(spec)
-    return {subset: Fraction(value, scale) for subset, value in scalars.items()}
-
-
 @dataclass
 class ValidatedSpec:
     """A foliation spec together with derived data and its validation record.

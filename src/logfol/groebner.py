@@ -15,12 +15,12 @@ arithmetic when the ideals are monomial:
   generated by f*e1 for f in I and g*(e1 + e0) for g in J, and I : g that
   of f*e1 for f in I and g*e1 + e0,
 * a run may be given known entries, a Groebner basis already, which make
-  no S-pairs among themselves: a colon or an intersection seeds the cached
-  reduced basis of I at e1 that way,
-* ``module_annihilator`` is the one colon by an ideal: it intersects the
-  colons by its components, densest first, and skips each one that the
-  intersection so far already lies in, testing only the generators of that
-  intersection outside I,
+  no S-pairs among themselves: a colon or an intersection seeds the reduced
+  basis of I at e1 that way, computed once and cached on I,
+* ``module_annihilator`` is the one colon by an ideal: the intersection of
+  the colons by its nonzero components, densest first, with the
+  intersection so far as the side seeded as known entries, ending early
+  when that intersection is I itself,
 * saturation iterates ``module_annihilator`` to a fixed point, squaring a
   principal divisor f from the third step on (colons by f, f, f^2, f^4,
   ...), and f lies in the radical of I exactly when I : f^infinity is the
@@ -457,16 +457,6 @@ def _minimal(layout: _Layout, monomials) -> tuple:
     return tuple(_make(layout, {m: 1}) for m in reversed(kept))
 
 
-def _times_e1(I: Ideal) -> tuple:
-    """``(vectors, known)`` giving f*e1 for f in I to ``_e0_coordinates``:
-    I's reduced basis as known entries when it is cached, which saves its
-    S-pairs, else I's generators as vectors (f, 0)."""
-    if I._basis is not None:
-        return [], I._basis
-    zero = Poly.zero(I.arity)
-    return [(f, zero) for f in I.generators], ()
-
-
 def _has_constant(I: Ideal) -> bool:
     """Whether a generator of I is a nonzero constant, so that I is (1)."""
     return any(g.total_degree() == 0 for g in I.generators)
@@ -492,20 +482,19 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         lcm, us = layout.lcm, _packed_terms(b, layout)
         return _with_basis(I.arity, _minimal(
             layout, [lcm(m, u)[0] for m in _packed_terms(a, layout) for u in us]))
-    vectors, known = _times_e1(I)
-    return _e0_coordinates(I.arity, vectors + [(g, g) for g in J.generators], known)
+    return _e0_coordinates(I.arity, [(g, g) for g in J.generators], I.groebner_basis())
 
 
 def intersect_all(ideals, arity: int) -> Ideal:
     """Intersection of a family of ideals; the empty family gives (1).
 
-    The running intersection goes on the g*(e1 + e0) side and each next
-    ideal on the e1 side: seeding the running intersection's cached basis
-    as known entries at e1 measured slower than this order."""
+    A left fold: the intersection so far is I in ``ideal_intersection(I,
+    J)``, so its cached basis goes in at e1 as known entries and each next
+    ideal's generators on the g*(e1 + e0) side."""
     ideals = list(ideals)
     if not ideals:
         return Ideal.unit(arity)
-    return functools.reduce(lambda acc, ideal: ideal_intersection(ideal, acc), ideals)
+    return functools.reduce(ideal_intersection, ideals)
 
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
@@ -520,8 +509,7 @@ def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
         (u,), lcm = _packed_terms([g], layout), layout.lcm
         return _with_basis(I.arity, _minimal(
             layout, [lcm(m, u)[0] - u for m in _packed_terms(terms, layout)]))
-    vectors, known = _times_e1(I)
-    return _e0_coordinates(I.arity, vectors + [(g, Poly.one(I.arity))], known)
+    return _e0_coordinates(I.arity, [(g, Poly.one(I.arity))], I.groebner_basis())
 
 
 def ideal_saturation(I: Ideal, J: Ideal) -> Ideal:
@@ -615,21 +603,17 @@ def module_annihilator(components, I: Ideal) -> Ideal:
 
     ``components`` are the coordinates b_i of an element of a free module
     over the quotient ring by I, and the colon ideal is the intersection of
-    the colons I : b_i.  They are taken densest first (by term count,
-    stably), whose colons tend to be the smallest.  The intersection so
-    far, ``acc``, starts as the whole ring; a component b is skipped when
-    h*b lies in I for every generator h of ``acc`` outside I, because then
-    ``acc`` is inside I : b already (h in I puts h*b in I anyway).  With
-    ``acc`` the whole ring that is the test b in I, so a vector whose
-    components all lie in I has the whole ring as its annihilator.  The
-    answer always contains I, as each I : b does.
+    the colons I : b_i, taken densest first (by term count, stably), whose
+    colons tend to be the smallest.  A zero component is dropped, as its
+    colon is the whole ring, so without a nonzero component the answer is
+    the whole ring.  The answer always contains I, as each I : b does, so
+    once the intersection so far equals I it is the answer: a saturation's
+    last step, which finds I : b = I, takes one colon.
     """
-    whole = acc = Ideal.unit(I.arity)
-    outside = [h for h in acc.generators if not I.contains(h)]
-    for b in sorted(components, key=lambda b: len(b.num), reverse=True):
-        if all(I.contains(h * b) for h in outside):
-            continue
-        colon = ideal_quotient(I, b)
-        acc = colon if acc is whole else ideal_intersection(acc, colon)
-        outside = [h for h in acc.generators if not I.contains(h)]
-    return acc
+    ann = Ideal.unit(I.arity)
+    for b in sorted((b for b in components if not b.is_zero),
+                    key=lambda b: len(b.num), reverse=True):
+        ann = ideal_intersection(ann, ideal_quotient(I, b))
+        if ideal_equal(ann, I):
+            break
+    return ann

@@ -31,12 +31,6 @@ def random_linear_form(rng: random.Random, arity: int) -> Poly:
                                 for i, c in enumerate(coeffs) if c})
 
 
-def random_smooth_quadric(rng: random.Random, arity: int) -> Poly:
-    """A diagonal quadric with nonzero entries; always a smooth hypersurface."""
-    return Poly(arity, {tuple(2 * (j == i) for j in range(arity)):
-                        rng.choice([-3, -2, -1, 1, 2, 3]) for i in range(arity)})
-
-
 def _descent_matrix(rng: random.Random, q: int, s: int) -> list:
     """A q x s integer matrix whose rows sum to zero: the residues of s
     hyperplanes satisfy descent."""

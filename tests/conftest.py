@@ -131,3 +131,12 @@ def oracle_dimension(gens, arity: int) -> int:
 
 def mono_poly(arity: int, mono) -> Poly:
     return Poly(arity, {tuple(mono): Fraction(1)})
+
+
+def strip_timings(obj):
+    """A report without its ``seconds`` fields, the only ones that vary."""
+    if isinstance(obj, dict):
+        return {k: strip_timings(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [strip_timings(v) for v in obj]
+    return obj

@@ -14,6 +14,8 @@ from logfol.cli import (
     parse_spec_document,
 )
 
+from conftest import strip_timings
+
 GOOD_SPEC = {
     "n": 2,
     "q": 1,
@@ -105,14 +107,6 @@ def write_spec(path, payload):
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
                     encoding="utf-8")
     return str(path)
-
-
-def strip_timings(obj):
-    if isinstance(obj, dict):
-        return {k: strip_timings(v) for k, v in obj.items() if k != "seconds"}
-    if isinstance(obj, list):
-        return [strip_timings(v) for v in obj]
-    return obj
 
 
 # -- exit codes ---------------------------------------------------------------

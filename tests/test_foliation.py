@@ -12,7 +12,6 @@ from logfol.foliation import (
     SpecValidationError,
     build_form,
     degenerate_strata,
-    lambda_table,
     transversality_violations,
     validate_spec,
 )
@@ -26,7 +25,7 @@ from logfol.forms import (
 )
 from logfol.groebner import Ideal, krull_dimension
 from logfol.poly import Poly
-from logfol.sampling import random_linear_form, random_smooth_quadric, random_validated_spec
+from logfol.sampling import random_linear_form, random_validated_spec
 
 from conftest import P, variables
 
@@ -36,6 +35,18 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def coordinate_spec(n, q, s, matrix):
     return FoliationSpec(n, q, [Poly.variable(n + 1, i) for i in range(s)],
                          residue_matrix=matrix)
+
+
+def lambda_table(spec):
+    """Residue scalar for every q-subset: minors in matrix mode, as given in raw mode."""
+    scalars, scale = foliation._residue_scalars(spec)
+    return {subset: Fraction(value, scale) for subset, value in scalars.items()}
+
+
+def random_smooth_quadric(rng, arity):
+    """A diagonal quadric with nonzero entries; always a smooth hypersurface."""
+    return Poly(arity, {tuple(2 * (j == i) for j in range(arity)):
+                        rng.choice([-3, -2, -1, 1, 2, 3]) for i in range(arity)})
 
 
 # -- structural validation at construction -----------------------------------------

@@ -113,12 +113,13 @@ P4_Q2 = FoliationSpec(4, 2, [P(f, 5) for f in ("x0 + x1 + 3*x2 - 3*x3 - 3*x4", "
 
 def test_kupka_ideal_run_counts(monkeypatch):
     """Counted work, no wall clock: with the singular basis cached, the Kupka
-    ideal of a P^4 instance built in the spec's coordinates takes two colons
-    and one intersection, all module runs, and keeps its basis, so asking for
-    it runs nothing.  It is J + ann, and ann is the intersection of every
-    colon.  ``verify`` builds this instance in adapted coordinates instead,
-    where its ideals are monomial and make no engine run at all
-    (``test_monomial_instances_make_no_engine_run``)."""
+    ideal of a P^4 instance built in the spec's coordinates takes one colon
+    per nonzero component of d(form) until the intersection so far is J, all
+    module runs and no grevlex run, and keeps its basis, so asking for it
+    runs nothing.  It is J + ann, and
+    ann is the intersection of every colon.  ``verify`` builds this instance
+    in adapted coordinates instead, where its ideals are monomial and make
+    no engine run at all (``test_monomial_instances_make_no_engine_run``)."""
     form = build_form(validate_spec(P4_Q2, "full-snc"))
     J = singular_ideal(form)
     J.groebner_basis()
@@ -131,10 +132,16 @@ def test_kupka_ideal_run_counts(monkeypatch):
                         or terms(gens, layout, known))
     K = kupka_ideal(form, J)
     K.groebner_basis()
-    assert len(colons) <= 2 and runs == [ELIMINATION] * len(runs) and len(runs) <= 3
+    components = list(exterior_derivative(form).coeffs.values())
+    nonzero = sorted((b for b in components if not b.is_zero),
+                     key=lambda b: len(b.num), reverse=True)
+    # a colon per component, densest first, until the intersection is J
+    assert colons == nonzero[:len(colons)]
+    assert len(colons) == len(nonzero) or ideal_equal(K, J)
+    # a run per colon, and at most one per intersection of two
+    assert runs == [ELIMINATION] * len(runs) and len(runs) <= 2 * len(colons) - 1
     monkeypatch.setattr(groebner, "ideal_quotient", quotient)
     monkeypatch.setattr(groebner, "groebner_terms", terms)
-    components = list(exterior_derivative(form).coeffs.values())
     every = intersect_all([ideal_quotient(J, b) for b in components], 5)
     assert ideal_equal(K, every) and ideal_equal(K, ideal_sum(J, K))
 
