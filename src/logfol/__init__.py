@@ -19,7 +19,6 @@ from .foliation import (
 from .forms import (
     PForm,
     contract,
-    contract_index,
     exterior_derivative,
     frobenius_check,
     plucker_check,

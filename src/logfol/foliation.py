@@ -276,15 +276,20 @@ def adapted_coordinates(vs: ValidatedSpec):
                 break
     if all(arity - rows[i].count(0) == 1 for i in kept):
         return None
-    det = _minor(matrix, range(arity))
+    # M is the identity outside the pivot rows, so expanding along its unit
+    # rows leaves minors on the pivots, and on the pivots and k for column k
+    pivots = sorted(kept.values())
+    det = _minor([matrix[p] for p in pivots], pivots)
     layout = _layout(GREVLEX, arity, _width(1))
     divisors = []
     for i, row in enumerate(rows):
         if i in kept:
             new = {layout.weights[kept[i]]: 1}
         else:  # Cramer: (r M^-1)_k = det(M with row k replaced by r) / det(M)
-            new = [_minor(matrix[:k] + [row] + matrix[k + 1:], range(arity)) * det
-                   for k in range(arity)]
+            new = []
+            for k in range(arity):
+                cols = sorted({*pivots, k})
+                new.append(_minor([row if j == k else matrix[j] for j in cols], cols) * det)
             g = math.gcd(*new)
             new = {w: c // g for w, c in zip(layout.weights, new) if c}
         divisors.append(_make(layout, new))

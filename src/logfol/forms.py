@@ -2,28 +2,30 @@
 
 A p-form on the coordinate ring of affine (n+1)-space maps strictly
 increasing index tuples (the basis monomials dx_{j1}^...^dx_{jp}) to
-``Poly`` coefficients, integer numerators on packed monomials, so the
-operators below compute on ints only.  Signs follow one convention:
-basis tuples are kept increasing, and contracting with the j-th coordinate
-field picks up (-1)^k when j sits at (zero-based) position k of the tuple.
-The wedge, exterior derivative and contraction operators are derived from
-that single choice and are checked against each other by the
-anti-derivation laws in the test suite.
+``Poly`` coefficients.  The operators share one kernel on integer
+numerators: ``_numerators`` packs the coefficients of a form by one grevlex
+layout over a common denominator, and three maps act on such numerators by
+index tuple, on ints only: ``_contract``, the interior product with a
+coordinate multivector; ``_derivative``, the exterior derivative; and
+``_product_sums``, the wedge product.  ``contract``, ``exterior_derivative``
+and ``wedge`` pack their arguments once, apply one map and make ``Poly``s
+of what it gives.  Signs follow one convention: basis tuples are kept
+increasing, and contracting with the j-th coordinate field picks up (-1)^k
+when j sits at (zero-based) position k of the tuple.  The anti-derivation
+laws in the test suite check the three maps against each other.
 
 Contraction with the radial (Euler) field sum_i x_i d/dx_i detects descent
 to projective space: a homogeneous form is the pullback of a form on P^n
-exactly when its radial contraction vanishes.  The decomposability test
-(contract with every coordinate (q-1)-multivector, wedge back, demand zero)
-and the integrability test (same with an exterior derivative in between)
-are the two pointwise conditions a q-form must satisfy to define a
-codimension-q foliation away from its zero locus.  For a 2-form the
-decomposability family is the single test a ∧ a = 0, because
-i_Xi(a ∧ a) = 2 (i_Xi a) ∧ a.  Both tests only ask whether a wedge product
-vanishes, so they never build it as a form: one product loop sums each
-coefficient on integer numerators over a common denominator, and the zero
-test stops at the first coefficient that is not zero.  ``wedge`` builds its
-form from the same loop, and the integrability test forms each d(i_Xi a)
-on the numerators of a as well.
+exactly when its radial contraction vanishes.  A q-form a defines a
+codimension-q foliation away from its zero locus when it is decomposable,
+(i_Xi a) ∧ a = 0, and integrable, d(i_Xi a) ∧ a = 0, for every coordinate
+(q-1)-multivector Xi.  Both tests are one loop over Xi on the numerators
+of a, packed once.  Xi runs over the coordinates that a's index tuples
+hold, since any other coordinate field contracts a to zero.  For a 2-form
+the decomposability family is the single test a ∧ a = 0, because
+i_Xi(a ∧ a) = 2 (i_Xi a) ∧ a.  The tests only ask whether a product
+vanishes, so they never build it: each coefficient is summed in turn, and
+the test stops at the first one that is not zero.
 """
 
 from __future__ import annotations
@@ -150,17 +152,69 @@ def _collect(arity: int, degree: int, pieces) -> PForm:
                                  for subset, (polys, signs) in grouped.items()})
 
 
-def _numerators(form: PForm, layout) -> tuple:
-    """``(numerators, den)``: the coefficients of ``form`` by index tuple as
-    integer numerators packed by the grevlex ``layout``, over their common
-    denominator ``den``."""
+def _degree(form: PForm) -> int:
+    return max((p.total_degree() for p in form.coeffs.values()), default=0)
+
+
+def _numerators(form: PForm, degree: int) -> tuple:
+    """``(layout, numerators, den)``: the coefficients of ``form`` by index
+    tuple as integer numerators, packed by the grevlex ``layout`` that holds
+    ``degree``, over their common denominator ``den``."""
+    layout = _layout(GREVLEX, form.arity, _width(degree))
     den = lcm(*(p.den for p in form.coeffs.values()))
     out = {}
     for subset, p in form.coeffs.items():
         num = p.num if p.layout is layout else _repack(p.num, p.layout, layout)
         f = den // p.den
         out[subset] = num if f == 1 else {m: c * f for m, c in num.items()}
-    return out, den
+    return layout, out, den
+
+
+def _unpacked(arity: int, degree: int, layout, sums, den: int) -> PForm:
+    """The form of (index tuple, numerators) pairs over ``den``."""
+    return PForm(arity, degree, {subset: _make(layout, num, den) for subset, num in sums if num})
+
+
+def _contract(nums: dict, xi: tuple) -> dict:
+    """The numerators of i_Xi a from the numerators ``nums`` of a, by index
+    tuple, for the coordinate multivector ``xi``: its fields are contracted
+    rightmost first, and each one at position k of the index tuple left
+    so far contributes (-1)^k."""
+    out = {}
+    for subset, num in nums.items():
+        sign, rest = 1, subset
+        for index in reversed(xi):
+            if index not in rest:
+                break
+            k = rest.index(index)
+            rest = rest[:k] + rest[k + 1:]
+            sign = -sign if k % 2 else sign
+        else:
+            out[rest] = num if sign == 1 else {m: -c for m, c in num.items()}
+    return out
+
+
+def _derivative(nums: dict, layout) -> dict:
+    """The numerators of da from the numerators ``nums`` of a, by index
+    tuple: d(c dx_J) = sum_i dc/dx_i dx_i ∧ dx_J, over the variables x_i
+    that the coefficients hold."""
+    shifts, weights, cap = layout.shifts, layout.weights, layout.cap
+    used = layout.fieldmax(m for num in nums.values() for m in num)
+    variables = [i for i in range(layout.arity) if (used >> shifts[i]) & cap]
+    out = {}
+    for subset, num in nums.items():
+        for i in variables:
+            if i in subset:
+                continue
+            merged, sign = _merge_sign((i,), subset)
+            acc = out.setdefault(merged, {})
+            get, shift, weight = acc.get, shifts[i], weights[i]
+            for m, c in num.items():
+                e = (m >> shift) & cap
+                if e:
+                    m -= weight
+                    acc[m] = get(m, 0) + sign * e * c
+    return {subset: {m: c for m, c in acc.items() if c} for subset, acc in out.items()}
 
 
 def _product_sums(na: dict, nb: dict):
@@ -186,61 +240,20 @@ def _product_sums(na: dict, nb: dict):
         yield merged, {m: c for m, c in out.items() if c}
 
 
-def _wedge_sums(a: PForm, b: PForm):
-    """The coefficients of a ∧ b, one index tuple at a time.
-
-    Returns ``(layout, den, sums)``: ``sums`` is ``_product_sums`` of the
-    numerators of a and b, packed by the grevlex ``layout`` of a field width
-    that holds every product, and ``den`` is their common denominator.
-    """
-    if a.arity != b.arity:
-        raise ValueError("arity mismatch between forms")
-    if a.degree + b.degree > a.arity or not a.coeffs or not b.coeffs:
-        return None, 1, iter(())
-    degree = sum(max(p.total_degree() for p in form.coeffs.values()) for form in (a, b))
-    layout = _layout(GREVLEX, a.arity, _width(degree))
-    (na, da), (nb, db) = _numerators(a, layout), _numerators(b, layout)
-    return layout, da * db, _product_sums(na, nb)
-
-
 def wedge(a: PForm, b: PForm) -> PForm:
     """Exterior product a ∧ b."""
-    layout, den, sums = _wedge_sums(a, b)
-    return PForm(a.arity, a.degree + b.degree,
-                 {subset: _make(layout, num, den) for subset, num in sums if num})
-
-
-def _wedge_is_zero(a: PForm, b: PForm) -> bool:
-    """Whether a ∧ b = 0, stopping at the first nonzero coefficient."""
-    _, _, sums = _wedge_sums(a, b)
-    return not any(num for _, num in sums)
+    if a.arity != b.arity:
+        raise ValueError("arity mismatch between forms")
+    degree = _degree(a) + _degree(b)
+    layout, na, da = _numerators(a, degree)
+    _, nb, db = _numerators(b, degree)
+    return _unpacked(a.arity, a.degree + b.degree, layout, _product_sums(na, nb), da * db)
 
 
 def exterior_derivative(a: PForm) -> PForm:
     """d(sum c_J dx_J) = sum_i dc_J/dx_i dx_i ∧ dx_J."""
-    pieces = []
-    for subset, poly in a.coeffs.items():
-        for i in range(a.arity):
-            if i not in subset:
-                merged, sign = _merge_sign((i,), subset)
-                pieces.append((merged, poly.partial_derivative(i), sign))
-    return _collect(a.arity, a.degree + 1, pieces)
-
-
-def contract_index(a: PForm, index: int) -> PForm:
-    """Interior product with the coordinate field d/dx_index."""
-    if a.degree == 0:
-        raise ValueError("cannot contract a 0-form")
-    if not 0 <= index < a.arity:
-        raise IndexError(f"index {index} out of range for arity {a.arity}")
-    coeffs = {}
-    for subset, poly in a.coeffs.items():
-        if index not in subset:
-            continue
-        k = subset.index(index)
-        reduced = subset[:k] + subset[k + 1:]
-        coeffs[reduced] = poly if k % 2 == 0 else -poly
-    return PForm(a.arity, a.degree - 1, coeffs)
+    layout, nums, den = _numerators(a, _degree(a))
+    return _unpacked(a.arity, a.degree + 1, layout, _derivative(nums, layout).items(), den)
 
 
 def contract(a: PForm, indices) -> PForm:
@@ -254,10 +267,12 @@ def contract(a: PForm, indices) -> PForm:
         raise ValueError("multivector indices must be strictly increasing")
     if len(indices) > a.degree:
         raise ValueError(f"cannot contract a {a.degree}-form with a {len(indices)}-multivector")
-    out = a
     for index in reversed(indices):
-        out = contract_index(out, index)
-    return out
+        if not 0 <= index < a.arity:
+            raise IndexError(f"index {index} out of range for arity {a.arity}")
+    layout, nums, den = _numerators(a, _degree(a))
+    out = _contract(nums, indices).items()
+    return _unpacked(a.arity, a.degree - len(indices), layout, out, den)
 
 
 def radial_contraction(a: PForm) -> PForm:
@@ -272,70 +287,33 @@ def radial_contraction(a: PForm) -> PForm:
     return _collect(a.arity, a.degree - 1, pieces)
 
 
-def _derivative_of_contraction(nums: dict, xi: tuple, layout) -> dict:
-    """The numerators of d(i_Xi a) from the numerators ``nums`` of a, by
-    index tuple: the contraction by the coordinate multivector ``xi`` as
-    ``contract`` takes it, then the derivative as ``exterior_derivative``
-    takes it, with each sign carried to the partial derivatives."""
-    shifts, weights, cap = layout.shifts, layout.weights, layout.cap
-    out = {}
-    for subset, num in nums.items():
-        sign, rest = 1, subset
-        for index in reversed(xi):  # the rightmost field first
-            if index not in rest:
-                break
-            k = rest.index(index)
-            rest = rest[:k] + rest[k + 1:]
-            sign = -sign if k % 2 else sign
-        else:
-            for i in range(layout.arity):
-                if i in rest:
-                    continue
-                merged, order = _merge_sign((i,), rest)
-                acc = out.setdefault(merged, {})
-                get, shift, weight, f = acc.get, shifts[i], weights[i], sign * order
-                for m, c in num.items():
-                    e = (m >> shift) & cap
-                    if e:
-                        m -= weight
-                        acc[m] = get(m, 0) + f * e * c
-    return {subset: {m: c for m, c in acc.items() if c} for subset, acc in out.items()}
+def _vanishes(a: PForm, derive: bool) -> bool:
+    """Whether op(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi
+    over the coordinates of a's index tuples, op being d when ``derive`` and
+    the identity otherwise; without ``derive`` a 2-form tests a ∧ a alone."""
+    layout, nums, _ = _numerators(a, 2 * _degree(a))  # a constant factor moves no zero test
+    if a.degree == 2 and not derive:
+        contractions = [nums]
+    else:
+        used = sorted(set().union(*nums))
+        contractions = (_contract(nums, xi) for xi in itertools.combinations(used, a.degree - 1))
+    return not any(num for b in contractions
+                   for _, num in _product_sums(_derivative(b, layout) if derive else b, nums))
 
 
 def plucker_check(a: PForm) -> bool:
-    """Local decomposability of a q-form into a product of q 1-forms.
-
-    Requires (i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi;
-    linearity over functions makes the coordinate multivectors sufficient.
-    A 1-form passes without a product: a ∧ a = 0 by antisymmetry.  For a
-    2-form the family is the one test a ∧ a = 0, since i_Xi(a ∧ a) =
-    2 (i_Xi a) ∧ a and a form whose every coordinate contraction vanishes is
-    zero.
+    """Local decomposability of a q-form into a product of q 1-forms:
+    (i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi, which
+    suffices by linearity over functions.  A 1-form passes by antisymmetry.
     """
     if a.degree < 1:
         raise ValueError("decomposability is only defined for forms of degree >= 1")
-    if a.degree == 1:
-        return True
-    if a.degree == 2:
-        return _wedge_is_zero(a, a)
-    return all(_wedge_is_zero(contract(a, xi), a)
-               for xi in itertools.combinations(range(a.arity), a.degree - 1))
+    return a.degree == 1 or _vanishes(a, derive=False)
 
 
 def frobenius_check(a: PForm) -> bool:
-    """Integrability of the distribution cut out by a q-form.
-
-    Requires d(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi;
-    for q = 1 this is the classical da ∧ a = 0.  Each d(i_Xi a) is formed on
-    the integer numerators of a and goes into the product loop as they are.
-    """
+    """Integrability of the distribution cut out by a q-form: d(i_Xi a) ∧ a
+    = 0 for every coordinate (q-1)-multivector Xi, da ∧ a = 0 for q = 1."""
     if a.degree < 1:
         raise ValueError("integrability is only defined for forms of degree >= 1")
-    if not a.coeffs:
-        return True
-    degree = max(p.total_degree() for p in a.coeffs.values())
-    layout = _layout(GREVLEX, a.arity, _width(2 * degree))
-    nums, _ = _numerators(a, layout)  # a constant factor moves no zero test
-    return not any(num for xi in itertools.combinations(range(a.arity), a.degree - 1)
-                   for _, num in _product_sums(_derivative_of_contraction(nums, xi, layout),
-                                               nums))
+    return _vanishes(a, derive=True)

@@ -608,12 +608,16 @@ def module_annihilator(components, I: Ideal) -> Ideal:
     colon is the whole ring, so without a nonzero component the answer is
     the whole ring.  The answer always contains I, as each I : b does, so
     once the intersection so far equals I it is the answer: a saturation's
-    last step, which finds I : b = I, takes one colon.
+    last step, which finds I : b = I, takes one colon.  A colon whose
+    reduced basis is the intersection's so far leaves it as it is, so in a
+    saturation, where most colons are one ideal, it takes no intersection.
     """
     ann = Ideal.unit(I.arity)
     for b in sorted((b for b in components if not b.is_zero),
                     key=lambda b: len(b.num), reverse=True):
-        ann = ideal_intersection(ann, ideal_quotient(I, b))
+        colon = ideal_quotient(I, b)
+        if not ideal_equal(colon, ann):
+            ann = ideal_intersection(ann, colon)
         if ideal_equal(ann, I):
             break
     return ann

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -338,6 +339,46 @@ def test_minors_match_a_laplace_oracle():
             assert degenerate_strata(table, q, s) == strata
             zero_minors += sum(value == 0 for value in expected.values())
     assert zero_minors > 50 and pivot_swaps == 16
+
+
+def full_minor_row(matrix, row) -> list:
+    """Cramer's rule on every column of M with minors on all n+1 rows:
+    det(M with row k replaced by r) * det(M), scaled to a primitive row."""
+    arity = len(matrix)
+    det = foliation._minor(matrix, range(arity))
+    new = [foliation._minor(matrix[:k] + [row] + matrix[k + 1:], range(arity)) * det
+           for k in range(arity)]
+    g = math.gcd(*new)
+    return [c // g for c in new]
+
+
+def test_adapted_coordinates_match_the_full_minor_formula():
+    """Each divisor of the adapted instance is the full-minor Cramer row of
+    its spec row, on seeded arrangements of P^2..P^6 with zero entries,
+    fewer or more hyperplanes than coordinates, and repeated rows."""
+    rng = random.Random(2208)
+    adapted = 0
+    for n in range(2, 7):
+        for trial in range(5):
+            arity, s = n + 1, rng.randint(2, n + 3)
+            rows = [[rng.choice([-2, -1, 0, 0, 1, 3]) for _ in range(arity)] for _ in range(s)]
+            for row in rows:
+                row[rng.randrange(arity)] = rng.choice([1, 2, -3])
+            if trial == 4:
+                rows[-1] = [2 * c for c in rows[0]]
+            divisors = [Poly(arity, {tuple(int(j == i) for j in range(arity)): c
+                                     for i, c in enumerate(row) if c}) for row in rows]
+            residues = [[rng.randint(-4, 4) for _ in range(s - 1)]]
+            residues[0].append(-sum(residues[0]))
+            vs = validate_spec(FoliationSpec(n, 1, divisors, residue_matrix=residues), "basic")
+            result = foliation.adapted_coordinates(vs)
+            if result is None:
+                continue
+            matrix, work = result
+            for row, g in zip(rows, work.divisors):
+                assert foliation._linear_row(g) == full_minor_row(matrix, row)
+            adapted += 1
+    assert adapted >= 20
 
 
 def test_walk_rows_stay_minors(monkeypatch):

@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from logfol.foliation import FoliationSpec, ValidatedSpec, build_form, validate_spec
 from logfol.forms import (
     PForm,
     _merge_sign,
-    _wedge_is_zero,
-    _wedge_sums,
     contract,
-    contract_index,
     exterior_derivative,
     frobenius_check,
     plucker_check,
@@ -77,14 +75,16 @@ def rational_form(rng, arity, degree, high=False):
 
 
 def test_wedge_zero_test_matches_the_product_wedge():
-    """The zero test against ``wedge(a, b).is_zero``, and ``wedge`` against
-    the product definition, on seeded random forms of degree 1-3 with
-    rational coefficients over different denominators.  Multiples of a
-    1-form and of a decomposable 2-form give zero products; coefficients of
+    """``wedge`` against the product definition on seeded random forms of
+    degree 1-3 with rational coefficients over different denominators, and
+    the zero test of the foliation checks against that product:
+    ``plucker_check`` of a 2-form tests a ∧ a = 0 and ``frobenius_check``
+    of a 1-form da ∧ a = 0.  Multiples of a 1-form, decomposable 2-forms
+    and multiples of exact 1-forms give zero products; coefficients of
     degree 70 and more make products of degree 140 and more, past the
     narrowest field width."""
     rng = random.Random(2208)
-    zeros = 0
+    seen = set()
     for case in range(60):
         arity = rng.randint(3, 5)
         high = case % 4 == 3
@@ -98,28 +98,37 @@ def test_wedge_zero_test_matches_the_product_wedge():
             b = rational_form(rng, arity, q, high)
         expected = product_wedge(a, b)
         assert wedge(a, b) == expected
-        assert _wedge_is_zero(a, b) == expected.is_zero
-        zeros += expected.is_zero
+        seen.add(("wedge", expected.is_zero))
         if high and not expected.is_zero:
             assert min(c.total_degree() for c in expected.coeffs.values()) >= 140
-    assert 10 <= zeros <= 50
+        if a.degree == 2:
+            square = product_wedge(a, a)
+            assert plucker_check(a) == square.is_zero
+            seen.add(("plucker", square.is_zero))
+        if a.degree == 1:
+            if case % 2:  # f dg is integrable
+                g = PForm(arity, 0, {(): random_poly(rng, arity, 3, terms=3)})
+                a = exterior_derivative(g) * (random_poly(rng, arity, 2, terms=2) + 1)
+            obstruction = product_wedge(exterior_derivative(a), a)
+            assert frobenius_check(a) == obstruction.is_zero
+            seen.add(("frobenius", obstruction.is_zero))
+    assert len(seen) == 6  # each test sees zero and nonzero products
 
 
 def test_wedge_zero_test_reads_every_coefficient():
-    """a ∧ b reaches dx0123 and dx0124, and only the last of them is
-    nonzero: f*f dx01∧dx23 cancels -f*f dx23∧dx01, so a zero test that
-    stopped early would call the product zero."""
+    """For a = f (dx01 + dx02 + dx13 + dx23) + g dx04 the product loop of
+    a ∧ a reaches dx0123 first, where f*f dx01∧dx23 cancels f*f dx02∧dx13,
+    and only then dx0134 and dx0234, which are nonzero: a zero test that
+    stopped at the first coefficient it reached would call a decomposable.
+    Without the g term a = f (dx0 - dx3) ∧ (dx1 + dx2) is decomposable."""
     rng = random.Random(9)
     f = random_poly(rng, 5, 3) * Fraction(2, 3) + Fraction(1, 5)
     g = random_poly(rng, 5, 3) * Fraction(5, 7) + 1
-    a = PForm(5, 2, {(0, 1): f, (2, 3): f})
-    b = PForm(5, 2, {(0, 1): f, (2, 3): -f, (2, 4): g})
-    _, _, sums = _wedge_sums(a, b)
-    reached = [(subset, bool(num)) for subset, num in sums]
-    assert reached == [((0, 1, 2, 3), False), ((0, 1, 2, 4), True)]
-    assert wedge(a, b) == PForm(5, 4, {(0, 1, 2, 4): f * g})
-    assert not _wedge_is_zero(a, b)
-    assert _wedge_is_zero(a, PForm(5, 2, {(0, 1): f, (2, 3): -f}))
+    square = {(0, 1): f, (0, 2): f, (1, 3): f, (2, 3): f}
+    a = PForm(5, 2, {**square, (0, 4): g})
+    assert wedge(a, a) == PForm(5, 4, {(0, 1, 3, 4): 2 * f * g, (0, 2, 3, 4): 2 * f * g})
+    assert not plucker_check(a)
+    assert plucker_check(PForm(5, 2, square))
 
 
 def test_wedge_overflow_degree_is_zero():
@@ -184,7 +193,7 @@ def test_d_antiderivation_random():
 def test_contract_single_index():
     assert contract(dx(3, 0, 1), (0,)) == dx(3, 1)
     assert contract(dx(3, 0, 1), (2,)).is_zero
-    assert contract_index(dx(3, 0, 1), 1) == -dx(3, 0)
+    assert contract(dx(3, 0, 1), (1,)) == -dx(3, 0)
 
 
 def test_contract_multivector_sign_consistent_with_wedge():
@@ -216,10 +225,120 @@ def test_contraction_antiderivation_random():
         q = rng.randint(1, 2)
         a = random_form(rng, arity, p)
         b = random_form(rng, arity, q)
-        j = rng.randrange(arity)
-        lhs = contract_index(wedge(a, b), j)
-        rhs = wedge(contract_index(a, j), b) + wedge(a, contract_index(b, j)) * ((-1) ** p)
+        j = (rng.randrange(arity),)
+        lhs = contract(wedge(a, b), j)
+        rhs = wedge(contract(a, j), b) + wedge(a, contract(b, j)) * ((-1) ** p)
         assert lhs == rhs
+
+
+def reference_contract(a, xi):
+    """i_Xi a field by field on ``Poly`` coefficients, rightmost first."""
+    for j in reversed(xi):
+        coeffs = {}
+        for subset, poly in a.coeffs.items():
+            if j in subset:
+                k = subset.index(j)
+                coeffs[subset[:k] + subset[k + 1:]] = poly if k % 2 == 0 else -poly
+        a = PForm(a.arity, a.degree - 1, coeffs)
+    return a
+
+
+def reference_derivative(a):
+    """da from ``Poly.partial_derivative``, one basis product at a time."""
+    out = PForm(a.arity, a.degree + 1)
+    for subset, poly in a.coeffs.items():
+        for i in range(a.arity):
+            merged, sign = _merge_sign((i,), subset)
+            if merged is not None:
+                out = out + PForm(a.arity, a.degree + 1,
+                                  {merged: poly.partial_derivative(i) * sign})
+    return out
+
+
+def test_kernel_matches_the_poly_reference():
+    """``contract`` by every coordinate multivector and
+    ``exterior_derivative`` on integer numerators, against the field by
+    field references on ``Poly`` coefficients, on seeded forms of degree 0-3
+    with rational coefficients over different denominators, some of degree
+    70 and more."""
+    rng = random.Random(1808)
+    for case in range(40):
+        arity = rng.randint(2, 5)
+        degree = case % min(4, arity + 1)
+        a = rational_form(rng, arity, degree, high=case % 5 == 4)
+        assert exterior_derivative(a) == reference_derivative(a)
+        for size in range(degree + 1):
+            for xi in itertools.combinations(range(arity), size):
+                assert contract(a, xi) == reference_contract(a, xi)
+
+
+def every_multivector_vanishes(a, op):
+    """op(i_Xi a) ∧ a = 0 for every coordinate (q-1)-multivector Xi."""
+    return all(product_wedge(op(reference_contract(a, xi)), a).is_zero
+               for xi in itertools.combinations(range(a.arity), a.degree - 1))
+
+
+def sparse_hyperplane_form(rng, n, s, lambdas=None):
+    """sum_I lambda_I (prod_{j not in I} f_j) df_I for s sparse random
+    hyperplanes f_j on P^n, q = 3: the logarithmic form of a residue matrix
+    whose rows sum to zero, or the same sum over a raw ``lambdas`` table."""
+    arity = n + 1
+    x = [Poly.variable(arity, i) for i in rng.sample(range(arity), s + 1)]
+    divisors = [x[j] + x[s] * rng.choice([-3, -1, 2, 5]) for j in range(s)]
+    if lambdas is None:
+        rows = [[rng.randint(-4, 4) for _ in range(s - 1)] for _ in range(3)]
+        spec = FoliationSpec(n, 3, divisors, [row + [-sum(row)] for row in rows])
+        return build_form(validate_spec(spec, "basic"))
+    spec = FoliationSpec(n, 3, divisors, lambdas=lambdas)
+    return build_form(ValidatedSpec(spec, "basic", (1,) * s, spec.lambdas))
+
+
+def three_form(rng, case):
+    """A random 3-form (case 0 mod 3), a product of three 1-forms with
+    linear coefficients (1 mod 3) or of three exact 1-forms (2 mod 3), times
+    a random polynomial."""
+    arity = rng.randint(4, 5)
+    if case % 3 == 0:
+        return rational_form(rng, arity, 3)
+    if case % 3 == 1:
+        factors = [random_form(rng, arity, 1, coeff_degree=1) for _ in range(3)]
+    else:
+        factors = [exterior_derivative(PForm(arity, 0, {(): random_poly(rng, arity, 2)}))
+                   for _ in range(3)]
+    a = product_wedge(product_wedge(factors[0], factors[1]), factors[2])
+    return a * (random_poly(rng, arity, 1, terms=2) + 1)
+
+
+def test_foliation_checks_match_every_coordinate_multivector():
+    """``plucker_check`` and ``frobenius_check`` take Xi over the coordinates
+    of a's index tuples only; a loop over every coordinate 2-multivector of
+    the ambient space agrees on 3-forms: random ones, products of three
+    1-forms (decomposable, seldom integrable), g times a product of exact
+    1-forms (both), dx_k ∧ eta for a 2-form eta free of dx_k, whose
+    failures only multivectors holding x_k see, for the first and the last
+    coordinate (neither), and 3-forms of 5 sparse hyperplanes on P^40: the
+    logarithmic form of a residue matrix (both), and the same sum over a raw
+    table (integrable, not decomposable)."""
+    rng = random.Random(40)
+    forms = [three_form(rng, case) for case in range(9)]
+    for k in (0, 4):  # dx_k ∧ eta: only multivectors holding x_k see it fail
+        eta = {subset: random_poly(rng, 5, 1, terms=2) + 1
+               for subset in itertools.combinations(range(5), 2) if k not in subset}
+        forms.append(product_wedge(dx(5, k), PForm(5, 2, eta)))
+    forms.append(sparse_hyperplane_form(rng, 40, 5))
+    forms.append(sparse_hyperplane_form(rng, 40, 5, lambdas={
+        subset: rng.randint(1, 9) for subset in itertools.combinations(range(5), 3)}))
+    seen = set()
+    for a in forms:
+        assert not a.is_zero
+        decomposable = every_multivector_vanishes(a, lambda b: b)
+        integrable = every_multivector_vanishes(a, exterior_derivative)
+        assert plucker_check(a) == decomposable
+        assert frobenius_check(a) == integrable
+        seen.add((decomposable, integrable))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert [(plucker_check(a), frobenius_check(a)) for a in forms[-4:]] == \
+        [(False, False), (False, False), (True, True), (False, True)]
 
 
 # -- radial contraction --------------------------------------------------------------

@@ -488,6 +488,17 @@ def test_module_annihilator_examples(monkeypatch):
     assert gens_of(module_annihilator([x2, x0], Ideal(3, [x0 * x1]))) == ["x0*x1"]
     assert calls == [x2]
 
+    # a colon equal to the intersection so far is not intersected with it:
+    # modulo (x0*x1, x2^2) the colons by x0 and x0^2 are both (x1, x2^2)
+    intersections = []
+    monkeypatch.setattr(groebner, "ideal_intersection",
+                        lambda A, B: intersections.append(B) or ideal_intersection(A, B))
+    calls.clear()
+    ann = module_annihilator([x0, x0 * x0, x2], Ideal(3, [x0 * x1, x2 * x2]))
+    assert gens_of(ann) == gens_of(Ideal(3, [x0 * x1, x1 * x2, x2 * x2]))
+    assert calls == [x0, x0 * x0, x2]
+    assert [gens_of(B) for B in intersections] == [["x1", "x2^2"], ["x0*x1", "x2"]]
+
 
 def test_module_annihilator_is_the_intersection_of_every_colon():
     """Seeded vectors with dense and sparse components, components in I,

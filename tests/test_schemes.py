@@ -1,4 +1,7 @@
+import os
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +37,8 @@ from logfol.schemes import (
 )
 
 from conftest import P, permuted_poly, variables
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def coordinate_vs(n, q, s, matrix, level="full-snc"):
@@ -144,6 +149,32 @@ def test_kupka_ideal_run_counts(monkeypatch):
     monkeypatch.setattr(groebner, "groebner_terms", terms)
     every = intersect_all([ideal_quotient(J, b) for b in components], 5)
     assert ideal_equal(K, every) and ideal_equal(K, ideal_sum(J, K))
+
+
+def test_residual_ideal_repeats_no_engine_input(monkeypatch):
+    """Two ``batch-p2p3`` pool instances that adapted coordinates leave
+    non-monomial: building the singular, Kupka and residual ideals gives no
+    ``groebner_terms`` run the input of an earlier one.  In the saturation
+    J : K^inf most colons J : k are one ideal; a colon whose basis is the
+    intersection's so far is not intersected with it again."""
+    sys.path.insert(0, BENCH)
+    import run
+    pool = run.batch_pool()
+    terms, inputs = groebner.groebner_terms, []
+
+    def recording_terms(gens, layout, known=()):
+        inputs.append((layout.name, layout.bits, repr(sorted(sorted(g.items()) for g in gens)),
+                       repr(sorted(sorted(g.items()) for g in known))))
+        return terms(gens, layout, known)
+
+    monkeypatch.setattr(groebner, "groebner_terms", recording_terms)
+    for label in ("p2-q1-s5-00", "p3-q2-s5-00"):
+        doc = cli.parse_spec_document(pool[label], label)
+        ids = SchemeIdeals(validate_spec(doc.spec, doc.level))
+        inputs.clear()
+        for ideal in (ids.singular, ids.kupka, ids.residual):
+            ideal.groebner_basis()
+        assert ids.matrix is not None and len(inputs) == len(set(inputs)) > 10, label
 
 
 def test_monomial_instances_make_no_engine_run(monkeypatch):
@@ -626,6 +657,19 @@ def test_adapted_coordinates_print_the_spec_bases(monkeypatch):
                 plain, plain_code = run()
             assert _without_seconds(plain) == _without_seconds(report) and plain_code == code, label
     assert adapted >= 10 and verdicts == {"pass", "fail"}
+
+
+def test_adapted_coordinates_cost_does_not_grow_with_n():
+    """Three lines through no common point of P^1000 verify ``pass`` in 5 s:
+    the coordinate change takes its minors on the kept hyperplanes' pivot
+    columns, where (n+1) x (n+1) minors took about 40 s."""
+    doc = cli.parse_spec_document(
+        {"n": 1000, "q": 1, "divisors": ["x0", "x1", "x0 + x1 + x2"],
+         "residue_matrix": [[1, 2, -3]]}, "p1000")
+    start = time.perf_counter()
+    report, code = cli.run_verify(doc)
+    assert (report["verdict"], code) == ("pass", cli.EXIT_OK)
+    assert time.perf_counter() - start <= 5
 
 
 def test_adapted_coordinates_of_a_five_hyperplane_arrangement():
