@@ -3,8 +3,9 @@
 Four commands operate on JSON spec files (the schema is documented in
 README.md and enforced here):
 
-* ``check``    validate a spec and print its certificate; it never builds
-               the form;
+* ``check``    validate a spec and print its certificate; it builds the
+               form only for the descent test of a raw ``lambdas`` table,
+               and never tests the form for zero;
 * ``compute``  print reduced Groebner generators and projective dimensions
                of the singular / Kupka / persistent ideals;
 * ``verify``   run the checks of ``schemes.CHECKS`` and report each one;

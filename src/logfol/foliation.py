@@ -41,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .forms import PForm, exterior_derivative, radial_contraction, wedge
 from .groebner import Ideal, krull_dimension
@@ -172,18 +172,13 @@ def _residue_scalars(spec: FoliationSpec) -> tuple:
 
 @dataclass
 class ValidatedSpec:
-    """A foliation spec together with derived data and its validation record.
-
-    ``snc_violations`` is the result of the transversality sweep at every
-    depth when validation ran it (``full-snc``), and None otherwise.
-    """
+    """A foliation spec together with derived data and its validation record."""
 
     spec: FoliationSpec
     level: str
     degrees: tuple
     lambdas: dict
     certificate: list = field(default_factory=list)
-    snc_violations: list | None = None
 
     @property
     def n(self) -> int:
@@ -205,14 +200,14 @@ class ValidatedSpec:
     def divisors(self):
         return self.spec.divisors
 
-    def complement_product(self, subset) -> Poly:
-        """Product of the divisors away from ``subset``."""
-        out = Poly.one(self.arity)
-        skip = set(subset)
-        for i, f in enumerate(self.divisors):
-            if i not in skip:
-                out = out * f
-        return out
+    @cached_property
+    def complements(self) -> dict:
+        """Each q-subset I, in increasing order, mapped to the product of the
+        divisors away from I: the weight of df_I in the form and a generator
+        of the persistent ideal.  There are s > q divisors, so none is empty."""
+        return {subset: reduce(Poly.__mul__, [f for i, f in enumerate(self.divisors)
+                                              if i not in subset])
+                for subset in self.spec.subsets()}
 
 
 def _jacobian_ideal(f: Poly) -> Ideal:
@@ -295,8 +290,7 @@ def adapted_coordinates(vs: ValidatedSpec):
         divisors.append(_make(layout, new))
     spec = vs.spec
     adapted = FoliationSpec(spec.n, spec.q, divisors, spec.residue_matrix, spec.lambdas)
-    return matrix, ValidatedSpec(adapted, vs.level, vs.degrees, vs.lambdas, vs.certificate,
-                                 vs.snc_violations)
+    return matrix, ValidatedSpec(adapted, vs.level, vs.degrees, vs.lambdas, vs.certificate)
 
 
 def transversality_violations(divisors, arity, max_size) -> list:
@@ -412,7 +406,6 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
         # positive-degree hypersurfaces on projective space are always ample
         certificate.append("ampleness: automatic for hypersurfaces on projective space")
 
-    bad = None
     if level == "full-snc" and homogeneous:
         bound = min(spec.s, spec.n + 1)
         bad = transversality_violations(spec.divisors, spec.arity, bound)
@@ -425,7 +418,7 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
 
     if failures:
         raise SpecValidationError(failures)
-    return ValidatedSpec(spec, level, tuple(degrees), lam, certificate, bad)
+    return ValidatedSpec(spec, level, tuple(degrees), lam, certificate)
 
 
 def build_form(vs: ValidatedSpec) -> PForm:
@@ -438,7 +431,7 @@ def build_form(vs: ValidatedSpec) -> PForm:
         if scalar == 0:
             continue
         df_block = reduce(wedge, (differentials[i] for i in subset))
-        total = total + df_block * (vs.complement_product(subset) * scalar)
+        total = total + df_block * (vs.complements[subset] * scalar)
     return total
 
 

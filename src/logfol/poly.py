@@ -190,21 +190,20 @@ def _signed_sum(polys, signs) -> "Poly":
     return _make(layout, {m: c for m, c in out.items() if c}, den)
 
 
-def linear_substitution(polys, rows, images: dict) -> list:
+def linear_substitution(polys, rows) -> list:
     """The polynomials with each variable x_i replaced by the linear form
     sum_j rows[i][j] x_j, for integer rows.
 
-    ``images`` memoises the integer image of each monomial, by field width
-    and packed monomial; callers pass the same dict for the same rows, so a
-    monomial is expanded once however many polynomials hold it.  The image
-    of a monomial is that of the monomial with one x_i fewer, times the form
-    of x_i, for its first variable x_i."""
+    The integer image of each packed monomial is memoised for the call, so
+    a monomial is expanded once however many of the polynomials hold it.
+    The image of a monomial is that of the monomial with one x_i fewer,
+    times the form of x_i, for its first variable x_i."""
     if not polys:
         return []
     layout = _layout(GREVLEX, polys[0].arity, _width(max(p.total_degree() for p in polys)))
     shifts, weights, cap = layout.shifts, layout.weights, layout.cap
     forms = [{w: c for w, c in zip(weights, row) if c} for row in rows]
-    memo = images.setdefault(layout.bits, {0: {0: 1}})
+    memo = {0: {0: 1}}
 
     def image(m: int) -> dict:
         chain = []

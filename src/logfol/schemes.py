@@ -36,9 +36,10 @@ colons and intersections of monomial ideals by exponent arithmetic, so with
 s <= n+1 no ideal enters the Groebner engine except to be printed in the
 spec's coordinates, or to name the witness of a failed locus check there
 (``_same_locus``).  Every generator a report prints is carried back to the
-spec's coordinates and reduced there, so reports read as if computed in the
-spec's coordinates throughout; an arrangement with a divisor of higher
-degree, where the substitution would make it dense, is computed as given.
+spec's coordinates and reduced there, once per distinct reduced basis, so
+reports read as if computed in the spec's coordinates throughout; an
+arrangement with a divisor of higher degree, where the substitution would
+make it dense, is computed as given.
 
 One instance is one ``SchemeIdeals``: its form, its ideals and the paper's
 hypotheses on it are each computed on first use and then kept.  A check is
@@ -107,8 +108,7 @@ def kupka_ideal(form: PForm, singular: Ideal) -> Ideal:
 
 def persistent_sum(vs: ValidatedSpec) -> Ideal:
     """Ideal generated by the complementary products prod_{j not in J} f_j."""
-    gens = [vs.complement_product(subset) for subset in vs.spec.subsets()]
-    return Ideal(vs.arity, gens)
+    return Ideal(vs.arity, list(vs.complements.values()))
 
 
 def persistent_cap(vs: ValidatedSpec) -> Ideal:
@@ -139,10 +139,10 @@ class SchemeIdeals:
     coordinates y = Mx (``foliation.adapted_coordinates``) when ``adapt``
     and the divisors are hyperplanes, with ``matrix`` holding M, and the
     instance ``vs`` itself otherwise, with ``matrix`` None.  The hypotheses
-    are read from ``vs``.  ``spec_basis`` carries a reduced basis back to
-    the spec's coordinates, once per distinct basis, and ``printed`` maps
-    each reduced generator the report has printed to its text, so a
-    polynomial is printed once per instance however many checks list it.
+    are read from ``vs``.  ``printed`` maps each distinct reduced basis the
+    report lists to its generators printed in the spec's coordinates, so a
+    basis is carried back and printed once per instance however many checks
+    list it.
     """
 
     def __init__(self, vs: ValidatedSpec, adapt: bool = True):
@@ -150,8 +150,6 @@ class SchemeIdeals:
         self.printed = {}
         change = adapted_coordinates(vs) if adapt else None
         self.matrix, self.work = change or (None, vs)
-        self._spec_bases = {}
-        self._images = {}
 
     def spec_basis(self, ideal: Ideal) -> tuple:
         """The reduced grevlex basis of one of the instance's ideals, in the
@@ -160,11 +158,7 @@ class SchemeIdeals:
         basis = ideal.groebner_basis()
         if self.matrix is None:
             return basis
-        out = self._spec_bases.get(basis)
-        if out is None:
-            images = linear_substitution(basis, self.matrix, self._images)
-            out = self._spec_bases[basis] = Ideal(self.vs.arity, images).groebner_basis()
-        return out
+        return Ideal(self.vs.arity, linear_substitution(basis, self.matrix)).groebner_basis()
 
     @cached_property
     def form(self) -> PForm:
@@ -193,11 +187,11 @@ class SchemeIdeals:
     @cached_property
     def preconditions(self) -> dict:
         """The paper's hypotheses: the subsets where simple normal crossings
-        fail, at every depth, and the degenerate residue strata.  The sweep
-        done by ``full-snc`` validation is reused."""
+        fail, at every depth, and the degenerate residue strata.  An instance
+        validated at ``full-snc`` has passed the sweep, so it has none."""
         vs = self.vs
-        bad = vs.snc_violations
-        if bad is None:
+        bad = []
+        if vs.level != "full-snc":
             bad = transversality_violations(vs.divisors, vs.arity, min(vs.s, vs.n + 1))
         return {
             "violations": [format_subset(subset) for subset, _ in bad],
@@ -230,16 +224,13 @@ class CheckResult:
 
 def generator_strings(ids: SchemeIdeals, ideal: Ideal) -> list:
     """The reduced grevlex generators of one of the instance's ideals, in
-    the spec's coordinates, printed; each distinct polynomial is printed
-    once per instance."""
-    printed = ids.printed
-    out = []
-    for g in ids.spec_basis(ideal):
-        text = printed.get(g)
-        if text is None:
-            text = printed[g] = str(g)
-        out.append(text)
-    return out
+    the spec's coordinates, printed; each distinct basis is printed once
+    per instance."""
+    basis = ideal.groebner_basis()
+    out = ids.printed.get(basis)
+    if out is None:
+        out = ids.printed[basis] = tuple(str(g) for g in ids.spec_basis(ideal))
+    return list(out)
 
 
 def ideal_block(ids: SchemeIdeals, ideal: Ideal) -> dict:

@@ -1,6 +1,8 @@
 import collections
+import itertools
 import json
 import os
+import re
 
 import pytest
 
@@ -374,6 +376,18 @@ def test_verify_builds_each_ideal_and_sweep_once(monkeypatch):
                      "kupka_ideal": 1, "persistent_cap": 1}
 
 
+def test_check_builds_the_form_only_for_a_raw_table(monkeypatch):
+    """``check`` takes the descent test of a raw ``lambdas`` table on the
+    built form's radial contraction, and builds no form for a residue
+    matrix, whose descent test is on its rows."""
+    raw = {"n": 2, "q": 1, "divisors": ["x0", "x1", "x2"], "lambdas": {"1": 1, "2": 2, "3": -3}}
+    for payload, builds in ((GOOD_SPEC, 0), (raw, 1)):
+        calls = count_calls(monkeypatch, ((foliation, "build_form"),))
+        report, code = cli.run_check(parse_spec_document(payload, "spec"))
+        assert (report["verdict"], code) == ("pass", EXIT_OK)
+        assert calls["build_form"] == builds
+
+
 def test_check_on_linear_spec_runs_no_groebner_basis(tmp_path, monkeypatch, capsys):
     """Linear divisors are smooth and their crossings are ranks: no basis at all."""
     for payload, expected in ((LINEAR_P4_SPEC, EXIT_OK), (REPEATED_P4_SPEC, EXIT_VALIDATION)):
@@ -547,3 +561,51 @@ def test_batch_random_seed_deterministic(capsys):
 
 def test_batch_bad_target(capsys):
     assert main(["batch", "/nonexistent/path"]) == EXIT_IO
+
+
+# -- README -------------------------------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_rows(heading: str) -> list:
+    """The cells of each body row of the first table under ``heading``."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    lines = text.split("\n" + heading + "\n", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+
+
+def test_readme_lists_the_checks_in_report_order():
+    row = next(cells for cells in _readme_rows("## Spec files") if cells[0] == "`checks`")
+    assert tuple(re.findall(r"`([^`]+)`", row[2])) == tuple(schemes.CHECKS)
+
+
+def test_readme_verdict_table_matches_the_emitted_verdicts(tmp_path):
+    """Each row of README's verdict table is an (exit code, verdict) pair a
+    batch run emits, and every pair it emits has its row."""
+    rows = [(int(cells[0]), cells[1].strip("`"))
+            for cells in _readme_rows("## Verdicts and exit codes")]
+    specs = {
+        "pass": GOOD_SPEC,
+        "error": "{not json",
+        "validation-failed": dict(GOOD_SPEC, residue_matrix=[[1, 1, -2]]),
+        "precondition-failed": dict(GOOD_SPEC, divisors=["x0", "x1", "x0 + x1"],
+                                    validation_level="generic", checks=["lemma"]),
+        # a raw table whose 2-form is neither integrable nor decomposable
+        "fail": {"n": 4, "q": 2, "divisors": ["x0", "x1", "x2", "x3", "x4",
+                                              "x0 + 2*x1 + 3*x2 + 5*x3 + 7*x4"],
+                 "lambdas": {"1,2": 7, "1,3": 9, "1,4": 2, "1,5": 3, "1,6": -21, "2,3": 4,
+                             "2,4": -8, "2,5": -1, "2,6": 12, "3,4": -6, "3,5": -4,
+                             "3,6": 23, "4,5": -3, "4,6": -9, "5,6": -5},
+                 "checks": ["identities"]},
+    }
+    for name, payload in specs.items():
+        write_spec(tmp_path / f"{name}.json", payload)
+    summary, _ = cli.run_batch(str(tmp_path), 0, 1, None, False, None)
+    emitted = {(r["exit_code"], r["verdict"]) for r in summary["results"]}
+    assert {verdict for _, verdict in emitted} == set(specs)
+    assert {code for code, _ in emitted} == {EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_CHECKS}
+    assert sorted(rows) == sorted(emitted)

@@ -419,17 +419,20 @@ def factor_forms(vs) -> list:
     """Matrix mode only: the cleared 1-forms sum_i L[k][i] (prod_{j!=i} f_j) df_i.
 
     Their wedge equals (prod f_i)^(q-1) times the built q-form, which is the
-    global decomposition property the matrix mode guarantees.
+    global decomposition property the matrix mode guarantees.  Row k of L is
+    the residue row of a codimension-one instance on the same divisors, whose
+    complementary products are the prod_{j!=i} f_j.
     """
     arity = vs.arity
     out = []
     for row in vs.spec.residue_matrix:
+        row_vs = validate_spec(FoliationSpec(vs.n, 1, vs.divisors, residue_matrix=[row]), "basic")
         form = PForm(arity, 1)
         for i, entry in enumerate(row):
             if entry == 0:
                 continue
             df = exterior_derivative(PForm(arity, 0, {(): vs.divisors[i]}))
-            form = form + df * (vs.complement_product((i,)) * entry)
+            form = form + df * (row_vs.complements[(i,)] * entry)
         out.append(form)
     return out
 

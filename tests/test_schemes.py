@@ -455,8 +455,10 @@ def test_verify_prints_each_reduced_generator_once(monkeypatch):
 
 
 def test_verify_calls_share_no_printed_strings(monkeypatch):
-    """The printed generators are kept by the instance: a second ``verify``
-    of the same spec in the same process prints every one of them again."""
+    """The printed generators are kept by the instance, one entry per
+    distinct reduced basis: a second ``verify`` of the same spec in the same
+    process prints every one of them again, and a second report from the
+    same instance prints none."""
     instances = []
 
     class Recording(SchemeIdeals):
@@ -473,7 +475,15 @@ def test_verify_calls_share_no_printed_strings(monkeypatch):
     assert count and len(printed) == 2 * count
     assert _listed_generators(first) == _listed_generators(second)
     one, two = instances
-    assert one.printed is not two.printed and len(one.printed) == len(two.printed) == count
+    assert one.printed is not two.printed and one.printed == two.printed
+    bases = {getattr(one, attr).groebner_basis()
+             for attr in ("singular", "kupka", "persistent_sum", "persistent_cap", "residual")}
+    assert set(one.printed) == bases
+    assert sum(len(texts) for texts in one.printed.values()) == count
+    monkeypatch.setattr(cli, "SchemeIdeals", lambda vs: one)
+    third, _ = cli.run_verify(doc)
+    assert len(printed) == 2 * count
+    assert _listed_generators(third) == _listed_generators(first)
 
 
 # -- structural invariants --------------------------------------------------------------
@@ -703,6 +713,88 @@ def test_a_quadric_keeps_the_spec_coordinates():
     ids = SchemeIdeals(vs)
     assert ids.matrix is None and ids.work is vs
     assert ids.spec_basis(ids.singular) == ids.singular.groebner_basis()
+
+
+def _substituted(p: Poly, rows) -> Poly:
+    """Oracle for ``linear_substitution``: each term of p with every x_i
+    replaced by sum_j rows[i][j] x_j, through ``Poly`` arithmetic."""
+    forms = [sum((x * c for x, c in zip(variables(p.arity), row)), Poly.zero(p.arity))
+             for row in rows]
+    total = Poly.zero(p.arity)
+    for mono, coeff in p.terms.items():
+        term = Poly.const(p.arity, coeff)
+        for form, e in zip(forms, mono):
+            term = term * form ** e
+        total = total + term
+    return total
+
+
+def test_linear_substitution_matches_term_by_term_substitution():
+    """On the seeded arrangements of the adapted-coordinate oracle, every
+    reduced basis of the adapted instance and its complementary products,
+    of mixed degrees in one call, substitute as term-by-term ``Poly``
+    arithmetic does; so does a call that needs a wider field."""
+    checked = 0
+    for label, payload in _adapted_oracle_docs().items():
+        doc = cli.parse_spec_document(payload, label)
+        ids = SchemeIdeals(validate_spec(doc.spec, "basic"))
+        if ids.matrix is None:
+            continue
+        polys = [g for attr in ("singular", "kupka", "persistent_cap", "residual")
+                 for g in getattr(ids, attr).groebner_basis()]
+        polys += list(ids.work.complements.values())
+        assert poly_module.linear_substitution(polys, ids.matrix) == \
+            [_substituted(p, ids.matrix) for p in polys], label
+        checked += 1
+    assert checked >= 10
+    assert poly_module.linear_substitution([], [[1]]) == []
+    rows = [[1, 1, 0], [0, 2, -1], [0, 0, 3]]
+    polys = [P("x0^130 - x1*x2", 3), P("x0 + x1", 3), P("1/2*x1^2*x2 - x2^3", 3)]
+    assert poly_module.linear_substitution(polys, rows) == [_substituted(p, rows) for p in polys]
+
+
+def test_complementary_products_are_built_once_per_instance(monkeypatch):
+    """The form and the persistent sum share one product per q-subset: the
+    generators of ``persistent_sum`` are the very objects of
+    ``vs.complements``, and a second ``build_form`` multiplies no divisor."""
+    vs = validate_spec(P4_Q2, "full-snc")
+    products = []
+    multiply = Poly.__mul__
+
+    def spy(a, b):
+        if any(b is f for f in vs.divisors):
+            products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", spy)
+    form = build_form(vs)
+    assert len(products) == 10 * 2  # C(5, 2) products of three divisors each
+    products.clear()
+    assert build_form(vs) == form and products == []
+    generators = persistent_sum(vs).generators
+    assert len(generators) == len(vs.complements) == 10
+    assert all(g is p for g, p in zip(generators, vs.complements.values()))
+
+
+def test_preconditions_walk_only_below_full_snc(monkeypatch):
+    """An instance validated at ``full-snc`` has passed the transversality
+    walk, so its preconditions take none; one validated at ``generic``, or
+    waived to ``basic``, takes exactly one."""
+    walks = []
+    walk = schemes.transversality_violations
+    monkeypatch.setattr(schemes, "transversality_violations",
+                        lambda *args: walks.append(args) or walk(*args))
+    for level, expected in (("full-snc", 0), ("generic", 1)):
+        walks.clear()
+        assert SchemeIdeals(validate_spec(P4_Q2, level)).preconditions["violations"] == []
+        assert len(walks) == expected, level
+    walks.clear()
+    cone = {"n": 4, "q": 1, "divisors": ["x3", "x1", "x2", "x4", "-2*x1 + 3*x2 - 3*x3 - x4"],
+            "residue_matrix": [[-3, 1, -2, -1, 5]], "validation_level": "full-snc",
+            "checks": ["lemma"]}
+    report, _ = cli.run_verify(cli.parse_spec_document(cone, "cone"), waive=True)
+    assert report["validation"]["status"] == "waived" and len(walks) == 1
+    assert report["checks"][0]["details"]["violations"] == ["{1,2,3,4,5}"]
 
 
 def test_a_raw_table_that_is_no_foliation_fails_a_precondition():
