@@ -8,53 +8,6 @@ the rationals, and verifies the expected structure of the singular locus
 Kupka and residual parts) instance by instance.
 """
 
-from .foliation import (
-    FoliationSpec,
-    SpecValidationError,
-    ValidatedSpec,
-    ValidationFailure,
-    build_form,
-    validate_spec,
-)
-from .forms import (
-    PForm,
-    contract,
-    exterior_derivative,
-    frobenius_check,
-    plucker_check,
-    radial_contraction,
-    wedge,
-)
-from .groebner import (
-    Ideal,
-    ideal_equal,
-    ideal_intersection,
-    ideal_quotient,
-    ideal_saturation,
-    ideal_sum,
-    krull_dimension,
-    module_annihilator,
-    normal_form,
-    projective_dimension,
-    radical_membership,
-)
-from .poly import (
-    Poly,
-    PolyParseError,
-    parse_poly,
-    poly_to_str,
-)
-from .schemes import (
-    CheckResult,
-    SchemeIdeals,
-    kupka_ideal,
-    persistent_cap,
-    persistent_sum,
-    residual_ideal,
-    singular_ideal,
-    verify_decomposition,
-    verify_identities,
-    verify_lemma,
-)
+from . import foliation, forms, groebner, poly, schemes
 
 __version__ = "0.1.0"

@@ -57,6 +57,9 @@ EXIT_CHECKS = 3
 
 ALL_CHECKS = tuple(CHECKS)
 
+# ends the name of each report ``batch --output`` writes; spec listings skip them
+REPORT_SUFFIX = ".report.json"
+
 
 class SpecFileError(Exception):
     """Unreadable, unparsable or schema-violating spec file."""
@@ -281,14 +284,13 @@ def run_verify(doc: SpecDocument, waive: bool = False) -> tuple:
     report, ids = _instance(doc, "verify", waive)
     if ids is None:
         return report, EXIT_VALIDATION
-    results = [result for name, check in CHECKS.items() if name in doc.checks
-               for result in check(ids, waive)]
-    report["checks"] = [r.to_dict() for r in results]
-    failed = [r.name for r in results if r.status == "fail"]
+    report["checks"] = results = [result for name, check in CHECKS.items()
+                                  if name in doc.checks for result in check(ids, waive)]
+    failed = [r["name"] for r in results if r["status"] == "fail"]
     if failed:
         report["failed_checks"] = failed
         report["verdict"], code = "fail", EXIT_CHECKS
-    elif any(r.status == "skipped" for r in results):
+    elif any(r["status"] == "skipped" for r in results):
         report["verdict"], code = "precondition-failed", EXIT_VALIDATION
     else:
         report["verdict"], code = "pass", EXIT_OK
@@ -331,7 +333,8 @@ def run_batch(target: str, seed: int, workers: int, level: str | None,
     else:
         if not os.path.isdir(target):
             raise SpecFileError(f"{target} is neither a directory nor an instance count")
-        paths = sorted(p for p in os.listdir(target) if p.endswith(".json"))
+        paths = sorted(p for p in os.listdir(target)
+                       if p.endswith(".json") and not p.endswith(REPORT_SUFFIX))
         if not paths:
             raise SpecFileError(f"no .json spec files in {target}")
         docs = []
@@ -360,7 +363,7 @@ def run_batch(target: str, seed: int, workers: int, level: str | None,
             stem = report["name"]
             if stem.endswith(".json"):
                 stem = stem[:-5]
-            path = os.path.join(output_dir, f"{stem}.report.json")
+            path = os.path.join(output_dir, stem + REPORT_SUFFIX)
             _atomic_write(path, _machine_text(report))
 
     summary = {

@@ -84,9 +84,6 @@ class PForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, subset) -> Poly:
-        return self.coeffs.get(tuple(subset), Poly.zero(self.arity))
-
     # -- linear structure ------------------------------------------------------
 
     def _combine(self, other, sign: int):

@@ -54,13 +54,15 @@ monomial's position for a divisor.  One guard-bit test of ``shift + top``
 before a shifted tail is formed catches any field that would overflow;
 the computation then starts again at twice the field width.
 
-Ideals are homogeneous by construction (module runs are not, which is fine
-for Buchberger).  Every ideal, basis and normal form is grevlex.
+Ideals are homogeneous by construction, and so are an intersection's seeds
+g*(e1 + e0).  A colon's seed g*e1 + e0 is not: e0 counts degree 0, so the
+pair queue, ordered by the x-degree of the lcm, takes pairs at e0 too early.
+The basis is still correct, but such runs can stall (quadric-p4's residual
+colons, ROADMAP.md).  Every ideal, basis and normal form is grevlex.
 """
 
 from __future__ import annotations
 
-import functools
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -362,16 +364,6 @@ class Ideal:
     def contains(self, p: Poly) -> bool:
         return normal_form(p, self).is_zero
 
-    def __add__(self, other):
-        return ideal_sum(self, other)
-
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return ideal_equal(self, other)
-
-    __hash__ = None
-
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({inner})"
@@ -483,18 +475,6 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return _with_basis(I.arity, _minimal(
             layout, [lcm(m, u)[0] for m in _packed_terms(a, layout) for u in us]))
     return _e0_coordinates(I.arity, [(g, g) for g in J.generators], I.groebner_basis())
-
-
-def intersect_all(ideals, arity: int) -> Ideal:
-    """Intersection of a family of ideals; the empty family gives (1).
-
-    A left fold: the intersection so far is I in ``ideal_intersection(I,
-    J)``, so its cached basis goes in at e1 as known entries and each next
-    ideal's generators on the g*(e1 + e0) side."""
-    ideals = list(ideals)
-    if not ideals:
-        return Ideal.unit(arity)
-    return functools.reduce(ideal_intersection, ideals)
 
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:

@@ -267,10 +267,6 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(arity: int) -> "Poly":
-        return Poly(arity)
-
-    @staticmethod
     def const(arity: int, value) -> "Poly":
         return Poly(arity, {(0,) * arity: value})
 
@@ -300,14 +296,6 @@ class Poly:
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
         return max(self.num) >> self.layout.degshift if self.num else -1
-
-    def leading(self):
-        """Leading (exponent tuple, coefficient) pair under grevlex."""
-        if not self.num:
-            raise ValueError("the zero polynomial has no leading term")
-        layout = self.layout
-        m = max(self.num, key=layout.flip.__xor__)
-        return layout.unpack(m), Fraction(self.num[m], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .foliation import (
     ValidatedSpec,
@@ -76,7 +75,6 @@ from .groebner import (
     ideal_intersection,
     ideal_saturation,
     ideal_sum,
-    intersect_all,
     krull_dimension,
     module_annihilator,
     projective_dimension,
@@ -112,11 +110,14 @@ def persistent_sum(vs: ValidatedSpec) -> Ideal:
 
 
 def persistent_cap(vs: ValidatedSpec) -> Ideal:
-    """Intersection over (q+1)-subsets K of the ideals (f_i : i in K)."""
-    pieces = []
-    for subset in itertools.combinations(range(vs.s), vs.q + 1):
-        pieces.append(Ideal(vs.arity, [vs.divisors[i] for i in subset]))
-    return intersect_all(pieces, vs.arity)
+    """Intersection over the (q+1)-subsets K of the ideals (f_i : i in K),
+    of which there is at least one, as s >= q+1.  A left fold: the running
+    intersection is I in ``ideal_intersection(I, J)``, so its cached basis
+    goes in at e1 as known entries, and each next ideal on the g*(e1 + e0)
+    side."""
+    return reduce(ideal_intersection, (
+        Ideal(vs.arity, [vs.divisors[i] for i in subset])
+        for subset in itertools.combinations(range(vs.s), vs.q + 1)))
 
 
 def residual_ideal(singular: Ideal, kupka: Ideal) -> Ideal:
@@ -210,18 +211,6 @@ class SchemeIdeals:
 # checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str          # "pass" | "fail" | "skipped"
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "details": self.details, "seconds": round(self.seconds, 6)}
-
-
 def generator_strings(ids: SchemeIdeals, ideal: Ideal) -> list:
     """The reduced grevlex generators of one of the instance's ideals, in
     the spec's coordinates, printed; each distinct basis is printed once
@@ -279,7 +268,8 @@ def _precondition_details(ids: SchemeIdeals, residues: bool) -> dict:
 
 
 def _run(ids: SchemeIdeals, checks, pre: dict | None = None, waive: bool = False) -> list:
-    """Run the ``(name, check)`` pairs on one instance, each timed by itself.
+    """The report entries of the ``(name, check)`` pairs on one instance,
+    each check timed by itself.
 
     ``pre`` holds the details of the hypotheses the checks assume.  When
     they fail every check is ``skipped`` with those details, unless
@@ -287,15 +277,17 @@ def _run(ids: SchemeIdeals, checks, pre: dict | None = None, waive: bool = False
     """
     failed = pre is not None and not pre["precondition_ok"]
     if failed and not waive:
-        return [CheckResult(name, "skipped", dict(pre)) for name, _ in checks]
+        return [{"name": name, "status": "skipped", "details": dict(pre), "seconds": 0.0}
+                for name, _ in checks]
     results = []
     for name, check in checks:
         t0 = time.perf_counter()
         passed, details = check(ids)
         if failed:
             details.update(pre)
-        results.append(CheckResult(name, "pass" if passed else "fail", details,
-                                   time.perf_counter() - t0))
+        results.append({"name": name, "status": "pass" if passed else "fail",
+                        "details": details,
+                        "seconds": round(time.perf_counter() - t0, 6)})
     return results
 
 
@@ -378,7 +370,7 @@ def _singular_consistency(ids: SchemeIdeals):
     return _same_locus(ids, lambda i: (i.singular, ideal_intersection(i.kupka, i.residual)))
 
 
-def verify_identities(ids: SchemeIdeals) -> CheckResult:
+def verify_identities(ids: SchemeIdeals) -> dict:
     """Structural identities of the built form: descent (radial contraction
     zero), integrability, decomposability (by construction in matrix mode,
     a real condition on a raw lambda table), and a positive codimension of
@@ -386,7 +378,7 @@ def verify_identities(ids: SchemeIdeals) -> CheckResult:
     return _run(ids, [("identities", _identities)])[0]
 
 
-def verify_lemma(ids: SchemeIdeals, waive_preconditions: bool = False) -> CheckResult:
+def verify_lemma(ids: SchemeIdeals, waive_preconditions: bool = False) -> dict:
     """Check the arrangement identity: the sum of complementary-product
     ideals equals the intersection of the (q+1)-fold divisor-sum ideals.
 

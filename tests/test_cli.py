@@ -1,11 +1,15 @@
 import collections
+import inspect
 import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import logfol
 from logfol import cli, foliation, groebner, poly, schemes
 from logfol.cli import (
     EXIT_CHECKS,
@@ -179,6 +183,23 @@ def test_descent_violation_names_row(tmp_path, capsys):
 def test_verify_passes_on_worked_instance(tmp_path):
     spec = write_spec(tmp_path / "s.json", GOOD_SPEC)
     assert main(["verify", spec]) == EXIT_OK
+
+
+def test_verify_one_piece_persistent_cap(tmp_path, capsys):
+    """s = q+1: the cap intersects a single ideal, which it is; two lines of
+    P^2 in general position, computed in adapted coordinates."""
+    payload = {"n": 2, "q": 1, "divisors": ["x0 + x1", "x1 - x2"],
+               "residue_matrix": [[1, -1]], "validation_level": "full-snc"}
+    spec = write_spec(tmp_path / "s.json", payload)
+    doc = cli.load_spec_file(spec)
+    assert foliation.adapted_coordinates(foliation.validate_spec(doc.spec, "full-snc")) is not None
+    assert main(["verify", spec, "--format", "machine"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass"
+    checks = {c["name"]: c for c in report["checks"]}
+    persistent = checks["persistent"]["details"]
+    assert persistent["sum"]["generators"] == persistent["cap"]["generators"]
+    assert checks["lemma"]["details"]["ideals_equal"] is True
 
 
 def test_waived_precondition_failure_exits_three(tmp_path, capsys):
@@ -485,6 +506,22 @@ def test_batch_directory(tmp_path, capsys):
     assert (reports_dir / "b.report.json").exists()
 
 
+def test_batch_reports_in_the_spec_directory_are_no_specs(tmp_path, capsys):
+    """``batch DIR --output DIR`` twice: the second run lists the same two
+    specs, not the reports the first one wrote next to them."""
+    write_spec(tmp_path / "a.json", GOOD_SPEC)
+    write_spec(tmp_path / "b.json", CONICS_SPEC)
+    runs = []
+    for _ in range(2):
+        code = main(["batch", str(tmp_path), "--format", "machine", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        runs.append(strip_timings(json.loads(capsys.readouterr().out)))
+    assert runs[0] == runs[1]
+    assert [r["name"] for r in runs[1]["results"]] == ["a.json", "b.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.json", "a.report.json", "b.json", "b.report.json"]
+
+
 def test_batch_directory_flags_failures(tmp_path, capsys):
     specs = tmp_path / "specs"
     specs.mkdir()
@@ -609,3 +646,25 @@ def test_readme_verdict_table_matches_the_emitted_verdicts(tmp_path):
     assert {verdict for _, verdict in emitted} == set(specs)
     assert {code for code, _ in emitted} == {EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_CHECKS}
     assert sorted(rows) == sorted(emitted)
+
+
+# -- package surface ------------------------------------------------------------
+
+def test_package_exports_only_its_submodules():
+    """``logfol`` re-exports no function or class: callers import the
+    submodule.  ``import logfol`` loads the engine's modules but not ``cli``,
+    so ``python -m logfol.cli`` runs without runpy's warning that the module
+    was already imported."""
+    assert not [name for name, value in vars(logfol).items()
+                if inspect.isfunction(value) or inspect.isclass(value)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, logfol; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert [m for m in loaded if m.split(".")[0] == "logfol"] == [
+        "logfol", "logfol.foliation", "logfol.forms", "logfol.groebner", "logfol.poly",
+        "logfol.schemes"]
+    run = subprocess.run([sys.executable, "-m", "logfol.cli", "--version"],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"logfol {logfol.__version__}\n", "")

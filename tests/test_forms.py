@@ -58,7 +58,7 @@ def product_wedge(a, b):
         for sb, pb in b.coeffs.items():
             merged, sign = _merge_sign(sa, sb)
             if merged is not None:
-                coeffs[merged] = coeffs.get(merged, Poly.zero(a.arity)) + pa * pb * sign
+                coeffs[merged] = coeffs.get(merged, Poly(a.arity)) + pa * pb * sign
     return PForm(a.arity, a.degree + b.degree, coeffs)
 
 
@@ -201,8 +201,7 @@ def test_contract_multivector_sign_consistent_with_wedge():
     a = PForm(3, 2, {(0, 1): x[2]})
     out = contract(a, (0, 1))
     assert out.degree == 0
-    value = out.coefficient(())
-    assert value == x[2] or value == -x[2]
+    assert out.coeffs in ({(): x[2]}, {(): -x[2]})
 
 
 def test_contract_empty_multivector_is_identity():

@@ -189,7 +189,7 @@ def test_print_parse_roundtrip_random():
     for _ in range(200):
         p = random_poly(rng, rng.randint(1, 4), 4, terms=5)
         assert parse_poly(poly_to_str(p), p.arity) == p
-    assert poly_to_str(Poly.zero(3)) == "0"
+    assert poly_to_str(Poly(3)) == "0"
     assert poly_to_str(P("x0 + x1^2 + 1", 2)) == "x1^2 + x0 + 1"  # decreasing grevlex
 
 
@@ -201,7 +201,7 @@ def test_product_difference_of_squares():
 
 def test_multiplication_by_zero_annihilates():
     p = P("3*x0^2 - x1 + 7", 2)
-    assert (p * Poly.zero(2)).is_zero
+    assert (p * Poly(2)).is_zero
     assert (p * 0).is_zero
 
 
@@ -245,7 +245,7 @@ def test_homogeneous_degree():
     assert P("x0 + x1^2", 2).homogeneous_degree() is None
     assert P("x0*x1*x2", 3).homogeneous_degree() == 3
     with pytest.raises(ValueError):
-        Poly.zero(2).homogeneous_degree()
+        Poly(2).homogeneous_degree()
 
 
 def test_partial_derivative():
@@ -265,7 +265,7 @@ def test_euler_identity_random():
         p = random_homogeneous_poly(rng, arity, degree)
         if p.is_zero:
             continue
-        total = Poly.zero(arity)
+        total = Poly(arity)
         for i in range(arity):
             total = total + Poly.variable(arity, i) * p.partial_derivative(i)
         assert total == degree * p
@@ -305,8 +305,7 @@ def test_block_order_eliminates_prefix():
 
 
 def test_leading_term_respects_order():
-    p = P("x0 + x1^2", 2)
-    assert p.leading()[0] == (0, 2)
+    assert poly_to_str(P("x0 + x1^2", 2)) == "x1^2 + x0"
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -446,7 +445,7 @@ def test_zero_from_arithmetic_is_the_canonical_zero():
     narrow zero, equal to the zero of every other route."""
     p = parse_poly("x0^200", 2)
     zero = p - p
-    assert zero == 0 and zero == Poly.zero(2) and hash(zero) == hash(Poly.zero(2))
-    assert zero.layout is Poly.zero(2).layout
+    assert zero == 0 and zero == Poly(2) and hash(zero) == hash(Poly(2))
+    assert zero.layout is Poly(2).layout
     for other in (p * 0, -p + p, p + (-p), (p - p) * p):
         assert other == zero and other.layout is zero.layout
