@@ -15,8 +15,8 @@ README.md and enforced here):
 Verdicts and exit codes:
 
 * 0 ``pass``: every check run passed (``check``: the spec validates);
-* 1 ``error``: the spec file cannot be read or parsed, or a batch
-  instance raised an unexpected exception;
+* 1 ``error``: the spec file cannot be read or parsed, the report cannot
+  be written, or a batch instance raised an unexpected exception;
 * 2 ``validation-failed``: the spec fails its validation level, or its
   form is zero; ``precondition-failed``: no check failed, but some were
   skipped because the instance breaks the paper's hypotheses;
@@ -48,7 +48,7 @@ from .foliation import (
 from .groebner import ideal_equal
 from .poly import PolyParseError, parse_poly, poly_to_str
 from .sampling import instance_menu, random_validated_spec
-from .schemes import CHECKS, SchemeIdeals, ideal_block
+from .schemes import CHECKS, SchemeIdeals, ideal_block, run_checks
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -63,6 +63,10 @@ REPORT_SUFFIX = ".report.json"
 
 class SpecFileError(Exception):
     """Unreadable, unparsable or schema-violating spec file."""
+
+
+class OutputError(Exception):
+    """A report, or the directory for reports, that cannot be written."""
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +288,7 @@ def run_verify(doc: SpecDocument, waive: bool = False) -> tuple:
     report, ids = _instance(doc, "verify", waive)
     if ids is None:
         return report, EXIT_VALIDATION
-    report["checks"] = results = [result for name, check in CHECKS.items()
-                                  if name in doc.checks for result in check(ids, waive)]
+    report["checks"] = results = run_checks(ids, doc.checks, waive)
     failed = [r["name"] for r in results if r["status"] == "fail"]
     if failed:
         report["failed_checks"] = failed
@@ -327,6 +330,11 @@ def generate_batch_specs(count: int, seed: int, level: str) -> list:
 
 def run_batch(target: str, seed: int, workers: int, level: str | None,
               waive: bool, output_dir: str | None) -> tuple:
+    if output_dir:  # before any work, so an unwritable one fails at once
+        try:
+            os.makedirs(output_dir, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot write {output_dir}: {exc.strerror}") from None
     errors = []
     if target.isdigit():
         docs = generate_batch_specs(int(target), seed, level or "full-snc")
@@ -358,7 +366,6 @@ def run_batch(target: str, seed: int, workers: int, level: str | None,
     reports = sorted(reports + errors, key=lambda r: r["name"])
 
     if output_dir:
-        os.makedirs(output_dir, exist_ok=True)
         for report in reports:
             stem = report["name"]
             if stem.endswith(".json"):
@@ -384,9 +391,12 @@ def run_batch(target: str, seed: int, workers: int, level: str | None,
 
 def _atomic_write(path: str, text: str):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +518,7 @@ def main(argv=None) -> int:
             report, code = run_verify(doc, args.waive_preconditions)
         emit(report, args.format, args.output)
         return code
-    except SpecFileError as exc:
+    except (SpecFileError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -49,6 +49,12 @@ from .poly import GREVLEX, Poly, _layout, _make, _width
 
 VALIDATION_LEVELS = ("basic", "generic", "full-snc")
 
+# The most subsets of 2..min(s, n+1) divisors a spec may have.  The
+# transversality walk visits them; the C(s, q) residue scalars and the
+# C(s, q+1) strata tested for degenerate residues are no more, as
+# q+1 <= min(s, n+1) and C(s, 1) <= C(s, 2) for s >= 3.
+_MAX_SUBSETS = 100_000
+
 
 def format_subset(subset) -> str:
     """Render a 0-based index tuple as a 1-based set, e.g. (0,2) -> '{1,3}'."""
@@ -93,6 +99,13 @@ class FoliationSpec:
         s = len(divisors)
         if s <= q:
             raise ValueError(f"need more divisors than the codimension: s={s} <= q={q}")
+        count, total = s, 0  # C(s, k + 1) and C(s, 2) + ... + C(s, k + 1) after step k
+        for k in range(1, min(s, n + 1)):
+            count = count * (s - k) // (k + 1)
+            total += count
+            if total > _MAX_SUBSETS:
+                raise ValueError(f"{s} divisors on P^{n} have more than {_MAX_SUBSETS} "
+                                 f"subsets of 2..{min(s, n + 1)} of them to check")
         for i, f in enumerate(divisors):
             if not isinstance(f, Poly):
                 raise TypeError("divisors must be Poly instances")
@@ -293,9 +306,10 @@ def adapted_coordinates(vs: ValidatedSpec):
     return matrix, ValidatedSpec(adapted, vs.level, vs.degrees, vs.lambdas, vs.certificate)
 
 
-def transversality_violations(divisors, arity, max_size) -> list:
-    """(K, height) for each subset K, of size 2..max_size, whose intersection
-    has the wrong codimension, sorted by size and then by K.
+def transversality_violations(divisors) -> list:
+    """(K, height) for each subset K of the s divisors, of size
+    2..min(s, arity), whose intersection has the wrong codimension, sorted
+    by size and then by K.
 
     The arrangement is transversal at K when the ideal (f_i : i in K) has
     height |K| or defines the empty projective locus.  One depth-first walk
@@ -307,6 +321,8 @@ def transversality_violations(divisors, arity, max_size) -> list:
     a Groebner basis.
     """
     bad = []
+    arity = divisors[0].arity
+    max_size = min(len(divisors), arity)
 
     def visit(subset, height, rows, mixed, prev):
         # rows: one for each divisor after the subset, None when not linear
@@ -408,7 +424,7 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
 
     if level == "full-snc" and homogeneous:
         bound = min(spec.s, spec.n + 1)
-        bad = transversality_violations(spec.divisors, spec.arity, bound)
+        bad = transversality_violations(spec.divisors)
         for subset, height in bad:
             failures.append(ValidationFailure(
                 "transversality", f"subset {format_subset(subset)}",

@@ -43,9 +43,10 @@ make it dense, is computed as given.
 
 One instance is one ``SchemeIdeals``: its form, its ideals and the paper's
 hypotheses on it are each computed on first use and then kept.  A check is
-a function of the instance returning ``(passed, details)``; ``_run`` times
-and gates every check in one place, and ``CHECKS`` names every check
-``logfol verify`` can run on an instance, in report order.
+a function of the instance returning ``(passed, details)``.  ``CHECKS`` is
+the one table of the checks ``logfol verify`` can run on an instance, in
+report order, with the hypotheses each assumes, and ``run_checks`` gates
+and times any selection of it.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class SchemeIdeals:
         vs = self.vs
         bad = []
         if vs.level != "full-snc":
-            bad = transversality_violations(vs.divisors, vs.arity, min(vs.s, vs.n + 1))
+            bad = transversality_violations(vs.divisors)
         return {
             "violations": [format_subset(subset) for subset, _ in bad],
             "degenerate_strata": [format_subset(K)
@@ -265,30 +266,6 @@ def _precondition_details(ids: SchemeIdeals, residues: bool) -> dict:
         details["precondition_ok"] = False
         details["message"] = "precondition violated: " + "; ".join(problems)
     return details
-
-
-def _run(ids: SchemeIdeals, checks, pre: dict | None = None, waive: bool = False) -> list:
-    """The report entries of the ``(name, check)`` pairs on one instance,
-    each check timed by itself.
-
-    ``pre`` holds the details of the hypotheses the checks assume.  When
-    they fail every check is ``skipped`` with those details, unless
-    ``waive``: then each check still runs and carries them alongside its own.
-    """
-    failed = pre is not None and not pre["precondition_ok"]
-    if failed and not waive:
-        return [{"name": name, "status": "skipped", "details": dict(pre), "seconds": 0.0}
-                for name, _ in checks]
-    results = []
-    for name, check in checks:
-        t0 = time.perf_counter()
-        passed, details = check(ids)
-        if failed:
-            details.update(pre)
-        results.append({"name": name, "status": "pass" if passed else "fail",
-                        "details": details,
-                        "seconds": round(time.perf_counter() - t0, 6)})
-    return results
 
 
 def _identities(ids: SchemeIdeals):
@@ -370,68 +347,53 @@ def _singular_consistency(ids: SchemeIdeals):
     return _same_locus(ids, lambda i: (i.singular, ideal_intersection(i.kupka, i.residual)))
 
 
-def verify_identities(ids: SchemeIdeals) -> dict:
-    """Structural identities of the built form: descent (radial contraction
-    zero), integrability, decomposability (by construction in matrix mode,
-    a real condition on a raw lambda table), and a positive codimension of
-    the coefficient ideal."""
-    return _run(ids, [("identities", _identities)])[0]
-
-
-def verify_lemma(ids: SchemeIdeals, waive_preconditions: bool = False) -> dict:
-    """Check the arrangement identity: the sum of complementary-product
-    ideals equals the intersection of the (q+1)-fold divisor-sum ideals.
-
-    The identity requires the arrangement to be transversal; a violated
-    precondition is reported rather than blamed on the identity itself.
-    With ``waive_preconditions`` the equality is still evaluated and the
-    violation recorded alongside the outcome.
-    """
-    return _run(ids, [("lemma", _lemma)], _precondition_details(ids, residues=False),
-                waive_preconditions)[0]
-
-
-DECOMPOSITION_CHECKS = (
-    ("kupka-codimension", _kupka_codimension),
-    ("residual-dimension", _residual_dimension),
-    ("kupka-formula", _kupka_formula),
-    ("disjointness", _disjointness),
-    ("singular-consistency", _singular_consistency),
-)
-
-
-def verify_decomposition(ids: SchemeIdeals, waive_preconditions: bool = False) -> list:
-    """Verify the decomposition of the singular scheme on one instance.
-
-    Sub-checks, each reported independently:
-
-    * kupka-codimension   the Kupka locus has projective codimension q+1;
-    * residual-dimension  the residual locus has dimension <= q-1 or is empty;
-    * kupka-formula       the Kupka locus equals the persistent locus
-                          (mutual radical membership; exact ideal equality
-                          is recorded as well);
-    * disjointness        Kupka and residual loci do not meet;
-    * singular-consistency  the singular locus is covered by the two parts:
-                          same radical as the intersection of Kupka and
-                          residual ideals.
-
-    The theorem assumes simple normal crossings at every depth and no
-    degenerate residue stratum.  When either fails every sub-check is
-    ``skipped`` and lists the violations; with ``waive_preconditions`` the
-    sub-checks are still evaluated and carry the violations alongside.
-    """
-    return _run(ids, DECOMPOSITION_CHECKS, _precondition_details(ids, residues=True),
-                waive_preconditions)
-
-
-# Every entry maps (instance, waive_preconditions) to its results.  The
-# entries look the check functions up by name when called, so a wrapper
-# installed on a module-level name sees every call.
+# Each name a spec's ``checks`` field selects maps to the hypotheses its
+# report entries assume, as ``residues`` of ``_precondition_details`` (None:
+# ungated), and to the entries, (name, check) pairs in report order:
+# identities    descent (radial contraction zero), integrability,
+#               decomposability and a coefficient ideal of positive codim
+# sing, kupka, persistent   reduced bases; singular in Kupka; sum in cap
+# lemma         persistent sum = cap, on a transversal arrangement
+# kupka-codimension     the Kupka locus has projective codimension q+1
+# residual-dimension    the residual locus is empty or of dimension <= q-1
+# kupka-formula         rad(Kupka) = rad(persistent cap); ideal equality too
+# disjointness          the Kupka and residual loci do not meet
+# singular-consistency  rad(singular) = rad(Kupka cap residual)
 CHECKS = {
-    "identities": lambda ids, waive: [verify_identities(ids)],
-    "sing": lambda ids, waive: _run(ids, [("sing", _sing)]),
-    "kupka": lambda ids, waive: _run(ids, [("kupka", _kupka)]),
-    "persistent": lambda ids, waive: _run(ids, [("persistent", _persistent)]),
-    "lemma": lambda ids, waive: [verify_lemma(ids, waive)],
-    "decomposition": lambda ids, waive: verify_decomposition(ids, waive),
+    "identities": (None, (("identities", _identities),)),
+    "sing": (None, (("sing", _sing),)),
+    "kupka": (None, (("kupka", _kupka),)),
+    "persistent": (None, (("persistent", _persistent),)),
+    "lemma": (False, (("lemma", _lemma),)),
+    "decomposition": (True, (("kupka-codimension", _kupka_codimension),
+                             ("residual-dimension", _residual_dimension),
+                             ("kupka-formula", _kupka_formula),
+                             ("disjointness", _disjointness),
+                             ("singular-consistency", _singular_consistency))),
 }
+
+
+def run_checks(ids: SchemeIdeals, names, waive: bool = False) -> list:
+    """The report entries of the ``CHECKS`` that ``names`` selects, in table
+    order, each timed by itself.  When the hypotheses an entry assumes fail
+    it is ``skipped`` with their details, unless ``waive``: then it still
+    runs and carries them alongside its own."""
+    results = []
+    for name, (residues, entries) in CHECKS.items():
+        if name not in names:
+            continue
+        pre = None if residues is None else _precondition_details(ids, residues)
+        failed = pre is not None and not pre["precondition_ok"]
+        for entry, check in entries:
+            if failed and not waive:
+                results.append({"name": entry, "status": "skipped", "details": dict(pre),
+                                "seconds": 0.0})
+                continue
+            t0 = time.perf_counter()
+            passed, details = check(ids)
+            if failed:
+                details.update(pre)
+            results.append({"name": entry, "status": "pass" if passed else "fail",
+                            "details": details,
+                            "seconds": round(time.perf_counter() - t0, 6)})
+    return results

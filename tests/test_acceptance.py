@@ -52,8 +52,8 @@ from logfol.schemes import (
     persistent_cap,
     persistent_sum,
     residual_ideal,
+    run_checks,
     singular_ideal,
-    verify_decomposition,
 )
 
 from conftest import (
@@ -199,7 +199,8 @@ def test_criterion_3_decomposition_suite():
         suite = decomposition_suite()
         for label, vs, form in suite:
             ids = SchemeIdeals(vs)
-            failed = [c["name"] for c in verify_decomposition(ids) if c["status"] == "fail"]
+            failed = [c["name"] for c in run_checks(ids, ("decomposition",))
+                      if c["status"] == "fail"]
             assert not failed, (label, failed)
             # the four headline assertions, re-stated directly
             assert projective_dimension(ids.kupka) == vs.n - vs.q - 1, label

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -68,6 +69,15 @@ LINEAR_P5_SPEC = {
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "verify_reports.json")
 
 
+def hyperplanes_spec(n, q, s):
+    """s coordinate hyperplanes of P^n, cycling through x0..xn, with q rows
+    of residues e_k - e_s."""
+    return {"n": n, "q": q, "divisors": [f"x{i % (n + 1)}" for i in range(s)],
+            "residue_matrix": [[int(j == k) - int(j == s - 1) for j in range(s)]
+                               for k in range(q)],
+            "validation_level": "basic"}
+
+
 # specs whose fields have the wrong shape, and the error each one gives
 MALFORMED_SPECS = {
     "matrix-row-not-a-list": (dict(GOOD_SPEC, residue_matrix=[7]),
@@ -105,6 +115,10 @@ MALFORMED_SPECS = {
     "residue-in-exponent-notation": (
         dict(GOOD_SPEC, residue_matrix=[["1e7000000", 2, -3]]),
         "residue_matrix[1]: exponent notation is not accepted"),
+    # C(30, 14) = 145,422,675 residue minors
+    "subsets-past-the-bound": (
+        hyperplanes_spec(29, 14, 30),
+        "30 divisors on P^29 have more than 100000 subsets of 2..30 of them to check"),
 }
 
 
@@ -158,6 +172,32 @@ def test_bad_polynomial_exits_one(tmp_path, capsys):
     # 50 levels of parentheses still parse
     payload = dict(GOOD_SPEC, divisors=["x0", "(" * 50 + "x1" + ")" * 50, "x2"])
     assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_OK
+
+
+def test_subset_bound_refuses_before_any_work(tmp_path):
+    """The bound is counted before validation: 30 hyperplanes of P^29 exit 1
+    at once, and 84 lines of P^2, C(84, 2) + C(84, 3) = 98,770 subsets,
+    still parse where 85, with 102,340, do not."""
+    t0 = time.perf_counter()
+    assert main(["check", write_spec(tmp_path / "s.json", hyperplanes_spec(29, 14, 30))]) == EXIT_IO
+    assert time.perf_counter() - t0 < 2.0
+    assert parse_spec_document(hyperplanes_spec(2, 1, 84), "84").spec.s == 84
+    with pytest.raises(cli.SpecFileError, match="more than 100000 subsets of 2..3"):
+        parse_spec_document(hyperplanes_spec(2, 1, 85), "85")
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys, monkeypatch):
+    """An --output whose parent is a regular file: ``verify`` reports it, and
+    ``batch`` does before it verifies any spec."""
+    spec = write_spec(tmp_path / "s.json", GOOD_SPEC)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["verify", spec, "--output", str(blocker / "out.json")]) == EXIT_IO
+    assert f"error: cannot write {blocker / 'out.json'}: " in capsys.readouterr().err
+    calls = count_calls(monkeypatch, ((cli, "run_verify"),))
+    assert main(["batch", str(tmp_path), "--output", str(blocker / "reports")]) == EXIT_IO
+    assert f"error: cannot write {blocker / 'reports'}: " in capsys.readouterr().err
+    assert calls == {}
 
 
 def test_schema_violation_exits_one(tmp_path):
@@ -231,6 +271,23 @@ def test_cone_fails_snc_at_depth_five(tmp_path, capsys):
     assert main(["verify", generic, "--waive-preconditions", "--format", "machine"]) == EXIT_CHECKS
     report = json.loads(capsys.readouterr().out)
     assert report["failed_checks"] == ["residual-dimension", "disjointness"]
+
+
+def test_selected_checks_report_in_table_order():
+    """A ``checks`` field out of order gives the entries of the full run it
+    selects, in table order, with and without the waiver; the cone's failed
+    hypothesis skips ``lemma`` and the decomposition without it."""
+    cone = {"n": 4, "q": 1, "divisors": ["x3", "x1", "x2", "x4", "-2*x1 + 3*x2 - 3*x3 - x4"],
+            "residue_matrix": [[-3, 1, -2, -1, 5]], "validation_level": "generic"}
+    selected = parse_spec_document(dict(cone, checks=["decomposition", "sing", "lemma"]), "c")
+    full = parse_spec_document(cone, "c")
+    for waive in (False, True):
+        entries = strip_timings(cli.run_verify(selected, waive)[0]["checks"])
+        names = [e["name"] for e in entries]
+        assert names == ["sing", "lemma"] + [n for n, _ in schemes.CHECKS["decomposition"][1]]
+        every = strip_timings(cli.run_verify(full, waive)[0]["checks"])
+        assert entries == [e for e in every if e["name"] in names]
+        assert (entries[1]["status"] == "skipped") != waive
 
 
 def test_zero_form_fails_validation(tmp_path, capsys, monkeypatch):
@@ -618,6 +675,17 @@ def _readme_rows(heading: str) -> list:
 def test_readme_lists_the_checks_in_report_order():
     row = next(cells for cells in _readme_rows("## Spec files") if cells[0] == "`checks`")
     assert tuple(re.findall(r"`([^`]+)`", row[2])) == tuple(schemes.CHECKS)
+
+
+def test_readme_check_table_matches_the_registry():
+    """README's table under ``## Checks`` lists every report entry of
+    ``schemes.CHECKS`` in report order, with the name that selects it and
+    the hypotheses it assumes."""
+    gates = {"none": None, "snc": False, "snc, residues, foliation": True}
+    rows = [(cells[0].strip("`"), cells[1].strip("`"), gates[cells[3]])
+            for cells in _readme_rows("## Checks")]
+    assert rows == [(name, entry, residues) for name, (residues, entries) in schemes.CHECKS.items()
+                    for entry, _ in entries]
 
 
 def test_readme_verdict_table_matches_the_emitted_verdicts(tmp_path):

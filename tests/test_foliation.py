@@ -172,7 +172,7 @@ def test_concurrent_lines_fail_snc():
                 dim = krull_dimension(Ideal(arity, [divisors[i] for i in subset]))
                 if arity - dim != size and dim > 0:
                     expected.append((subset, arity - dim))
-        assert transversality_violations(divisors, arity, max_size) == expected, divisors
+        assert transversality_violations(divisors) == expected, divisors
         violating += bool(expected)
         mixed += any(f.total_degree() == 2 for f in divisors)
     assert violating >= 10 and mixed >= 10
@@ -244,7 +244,7 @@ def test_walk_matches_rank_oracle_at_check_snc_size():
                     height = arity - krull_dimension(Ideal(arity, fs))
                 if height != size and height < arity:
                     expected.append((subset, height))
-        assert transversality_violations(divisors, arity, max_size) == expected, case
+        assert transversality_violations(divisors) == expected, case
         first_depths.add((len(expected[0][0]), kind if quadric else kind + "/linear"))
         depths.add(len({len(subset) for subset, _ in expected}))
     # repeated hyperplanes at depth 2; a form in the span of n others first at n+1
@@ -392,7 +392,7 @@ def test_walk_rows_stay_minors(monkeypatch):
     eliminate = foliation._eliminate
     monkeypatch.setattr(foliation, "_eliminate", lambda *args: widest.extend(
         max(map(abs, row)).bit_length() for row in eliminate(*args)) or eliminate(*args))
-    assert transversality_violations(forms, 8, 8) == []
+    assert transversality_violations(forms) == []
     assert len(widest) > 1000 and max(widest) <= 38  # 8 x 8 minors: (9 * sqrt(8))^8 < 2^38
 
 

@@ -30,10 +30,8 @@ from logfol.schemes import (
     persistent_cap,
     persistent_sum,
     residual_ideal,
+    run_checks,
     singular_ideal,
-    verify_decomposition,
-    verify_identities,
-    verify_lemma,
 )
 
 from conftest import P, permuted_poly, variables
@@ -53,7 +51,7 @@ def gens_of(ideal):
 
 def decomposition(vs, waive=False):
     """The decomposition sub-checks of one instance, by name."""
-    return {c["name"]: c for c in verify_decomposition(SchemeIdeals(vs), waive)}
+    return {c["name"]: c for c in run_checks(SchemeIdeals(vs), ("decomposition",), waive)}
 
 
 VS_P2 = coordinate_vs(2, 1, 3, [[1, 2, -3]])
@@ -273,13 +271,13 @@ def descent_rows(q, s):
 def test_lemma_passes_on_coordinate_instances():
     for (n, q, s) in [(2, 1, 3), (3, 1, 4), (3, 2, 3), (4, 3, 4)]:
         vs = coordinate_vs(n, q, s, descent_rows(q, s), level="basic")
-        result = verify_lemma(SchemeIdeals(vs))
+        result = run_checks(SchemeIdeals(vs), ("lemma",))[0]
         assert result["status"] == "pass", (n, q, s, result["details"])
         assert result["details"]["precondition_ok"]
 
 
 def test_lemma_trivial_single_intersectand():
-    result = verify_lemma(SchemeIdeals(VS_P3_Q2))
+    result = run_checks(SchemeIdeals(VS_P3_Q2), ("lemma",))[0]
     assert result["status"] == "pass"
     assert result["details"]["ideals_equal"]
 
@@ -289,12 +287,12 @@ def test_lemma_precondition_violated_is_not_a_counterexample():
     spec = FoliationSpec(2, 1, [x[0], x[1], x[0] + x[1]], residue_matrix=[[1, 2, -3]])
     vs = validate_spec(spec, "generic")
     ids = SchemeIdeals(vs)
-    skipped = verify_lemma(ids)
+    skipped = run_checks(ids, ("lemma",))[0]
     assert skipped["status"] == "skipped"
     assert not skipped["details"]["precondition_ok"]
     assert skipped["details"]["violations"] == ["{1,2,3}"]
     assert "precondition violated: snc at {1,2,3}" == skipped["details"]["message"]
-    forced = verify_lemma(ids, waive_preconditions=True)
+    forced = run_checks(ids, ("lemma",), waive=True)[0]
     assert forced["status"] == "fail"
     assert forced["details"]["ideals_equal"] is False
     assert not forced["details"]["precondition_ok"]
@@ -336,7 +334,7 @@ def test_decomposition_three_conics_p2():
                          residue_matrix=[[1, 2, -3]])
     vs = validate_spec(spec, "full-snc")
     ids = SchemeIdeals(vs)
-    report = {c["name"]: c for c in verify_decomposition(ids)}
+    report = {c["name"]: c for c in run_checks(ids, ("decomposition",))}
     assert all(c["status"] != "fail" for c in report.values())
     assert not ids.residual.is_unit  # nonempty residual part
     assert report["residual-dimension"]["details"]["projective_dimension"] == 0
@@ -381,7 +379,7 @@ def test_decomposition_skips_degenerate_residues():
 
 
 def test_identities_check():
-    result = verify_identities(SchemeIdeals(VS_P2))
+    result = run_checks(SchemeIdeals(VS_P2), ("identities",))[0]
     assert result["status"] == "pass"
     assert result["details"]["radial_contraction_zero"]
     assert result["details"]["integrable"]
@@ -400,7 +398,7 @@ def test_identities_check_decomposability_of_a_raw_lambda_table():
     lambdas = {tuple(int(i) - 1 for i in key.split(",")): v for key, v in values.items()}
     divisors = variables(5) + [P("x0 + 2*x1 + 3*x2 + 5*x3 + 7*x4", 5)]
     vs = validate_spec(FoliationSpec(4, 2, divisors, lambdas=lambdas), "full-snc")
-    result = verify_identities(SchemeIdeals(vs))
+    result = run_checks(SchemeIdeals(vs), ("identities",))[0]
     assert result["details"]["decomposable"] is False
     assert result["details"]["integrable"] is False
     assert result["status"] == "fail"
@@ -815,7 +813,7 @@ def test_a_raw_table_that_is_no_foliation_fails_a_precondition():
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["identities"]["status"] == "fail"
         assert checks["lemma"]["status"] == "pass"
-        for name, _ in schemes.DECOMPOSITION_CHECKS:
+        for name, _ in schemes.CHECKS["decomposition"][1]:
             details = checks[name]["details"]
             assert details["precondition_ok"] is False and details["message"] == message
             assert (checks[name]["status"] == "skipped") != waive
