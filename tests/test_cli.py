@@ -206,6 +206,19 @@ def test_schema_violation_exits_one(tmp_path):
     assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
 
 
+def test_dimension_above_the_limit_exits_one_before_parsing(tmp_path, capsys):
+    """n = 100,000 is refused at once, before the divisors are read (the
+    second one would not parse), instead of running out of memory."""
+    payload = dict(GOOD_SPEC, n=100_000, divisors=["x0", "x1 +", "x2"])
+    start = time.perf_counter()
+    assert main(["check", write_spec(tmp_path / "s.json", payload)]) == EXIT_IO
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: ambient projective dimension 100000 is above the limit {cli.MAX_N}\n")
+    at_limit = dict(GOOD_SPEC, n=cli.MAX_N, validation_level="basic")
+    assert parse_spec_document(at_limit, "limit").spec.n == cli.MAX_N
+
+
 def test_validation_failure_exits_two(tmp_path, capsys):
     payload = dict(GOOD_SPEC, residue_matrix=[[1, 1, -2]], validation_level="generic")
     spec = write_spec(tmp_path / "s.json", payload)
@@ -736,3 +749,33 @@ def test_package_exports_only_its_submodules():
     run = subprocess.run([sys.executable, "-m", "logfol.cli", "--version"],
                          env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, f"logfol {logfol.__version__}\n", "")
+
+
+def test_cli_imports_no_dataclasses_or_process_pool():
+    """``import logfol.cli`` in a fresh interpreter leaves out ``dataclasses``
+    (with ``inspect``) and ``concurrent.futures`` (with ``logging``): only a
+    batch with workers imports the pool."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import logfol.cli; "
+            "print(*(m for m in ('dataclasses', 'inspect', 'concurrent.futures', 'logging') "
+            "if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "\n"
+
+
+def test_closed_stdout_is_an_error_without_a_traceback(tmp_path):
+    """A reader that is gone before the report is written: exit 1 with one
+    ``error:`` line, as for any report that cannot be written."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    spec = write_spec(tmp_path / "s.json", GOOD_SPEC)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "logfol.cli", "check", spec, "--format",
+                              "machine"], stdout=write, stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write)
+    assert "Traceback" not in run.stderr
+    assert (run.returncode, run.stderr) == (EXIT_IO, "error: cannot write <stdout>: Broken pipe\n")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -384,16 +385,111 @@ def test_adapted_coordinates_match_the_full_minor_formula():
 def test_walk_rows_stay_minors(monkeypatch):
     """The walk divides each elimination step by the pivot before it, so its
     rows hold minors of the divisor coefficients and stay below Hadamard's
-    bound, where undivided rows would double in size with every step."""
+    bound, where undivided rows would double in size with every step.  The
+    last form is the negative of the one before it, so the general-position
+    certificate fails and the walk visits every subset."""
     rng = random.Random(11)
     forms = [Poly(8, {tuple(int(i == j) for j in range(8)): rng.choice([-9, -7, 5, 8, 9])
                       for i in range(8)}) for _ in range(10)]
+    forms[-1] = forms[-2] * -1
+    expected = [(K, len(K) - 1) for size in range(2, 9)
+                for K in itertools.combinations(range(10), size) if {8, 9} <= set(K)]
     widest = []
     eliminate = foliation._eliminate
     monkeypatch.setattr(foliation, "_eliminate", lambda *args: widest.extend(
         max(map(abs, row)).bit_length() for row in eliminate(*args)) or eliminate(*args))
-    assert transversality_violations(forms) == []
+    assert transversality_violations(forms) == expected
     assert len(widest) > 1000 and max(widest) <= 38  # 8 x 8 minors: (9 * sqrt(8))^8 < 2^38
+
+
+def maximal_minors(rows) -> dict:
+    """Every minor of an integer matrix on len(rows[0]) of its rows, keyed by
+    the row subset, by Laplace expansion along the columns."""
+    minors = {(): 1}
+    for k in range(len(rows[0])):  # the minors on columns 0..k
+        minors = {R: sum((-1) ** (k + t) * rows[R[t]][k] * minors[R[:t] + R[t + 1:]]
+                         for t in range(k + 1))
+                  for R in itertools.combinations(range(len(rows)), k + 1)}
+    return minors
+
+
+def in_general_position(rows) -> bool:
+    """Brute force: rank s when s <= arity, else every arity-subset independent."""
+    if len(rows) < len(rows[0]):
+        return any(maximal_minors([list(column) for column in zip(*rows)]).values())
+    return all(maximal_minors(rows).values())
+
+
+def _random_rows(rng):
+    """Integer rows of s hyperplanes on P^2..P^4, entries up to +-50: dense,
+    sparse (dependent by chance), or with one row a combination of others."""
+    arity = rng.randint(3, 5)
+    s, kind = rng.randint(2, arity + 4), rng.choice(("dense", "sparse", "planted"))
+    rows = []
+    for _ in range(s):
+        if kind == "sparse":
+            row = [rng.choice([0, 0, 0, rng.randint(-50, 50)]) for _ in range(arity)]
+        else:
+            row = [rng.randint(-50, 50) for _ in range(arity)]
+        if not any(row):
+            row[rng.randrange(arity)] = rng.choice([-1, 1])
+        rows.append(row)
+    if kind == "planted":
+        k = rng.randrange(s)
+        others = rng.sample([i for i in range(s) if i != k], min(s - 1, rng.randint(1, arity - 1)))
+        row = _combination([rows[i] for i in others], [rng.choice([-2, -1, 1, 3]) for _ in others])
+        if any(row):
+            rows[k] = row
+    return rows
+
+
+def test_walk_runs_only_when_the_certificate_fails(monkeypatch):
+    """Nine planes on P^5 in general position are certified without the
+    subset walk; with the last plane in the span of the five before it the
+    certificate fails, and the walk names that one subset."""
+    walks = []
+    walk = foliation._subset_walk
+    monkeypatch.setattr(foliation, "_subset_walk", lambda *args: walks.append(args) or walk(*args))
+    rng = random.Random(24)
+    rows = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(9)]
+    assert in_general_position(rows)
+    assert transversality_violations([_linear(6, row) for row in rows]) == [] and walks == []
+    rows[-1] = _combination(rows[3:8], [2, -1, 1, 3, -2])
+    assert [R for R, det in maximal_minors(rows).items() if det == 0] == [(3, 4, 5, 6, 7, 8)]
+    assert transversality_violations([_linear(6, row) for row in rows]) == [((3, 4, 5, 6, 7, 8), 5)]
+    assert len(walks) == 1
+
+
+def test_certificate_integers_stay_below_hadamard(monkeypatch):
+    """Every integer the certificate holds is a minor of the coefficient rows
+    of size at most arity: for 16 planes on P^7 with entries up to 9, below
+    (9 * sqrt(8))^8 < 2^38, while its minors of D alone would reach
+    det(B)^7 times that."""
+    rng = random.Random(7)
+    rows = [[rng.choice([-9, -7, -4, 3, 5, 8, 9]) for _ in range(8)] for _ in range(16)]
+    assert in_general_position(rows)
+    widest = []
+    eliminate = foliation._eliminate
+    monkeypatch.setattr(foliation, "_eliminate", lambda *args: widest.extend(
+        max(map(abs, row)).bit_length() for row in eliminate(*args)) or eliminate(*args))
+    assert foliation._general_position(rows)
+    assert len(widest) > 5_000 and max(widest) <= 38
+
+
+def test_general_position_matches_a_minor_oracle():
+    """The certificate against brute-force maximal minors on 10,000 seeded
+    arrangements: fewer rows than coordinates, and more by r = 1..4, so that
+    minors of D of size 3 and more are walked to the end."""
+    rng = random.Random(2208)
+    counts = collections.Counter()  # by (r, or 0 when s <= arity, capped at 3; verdict)
+    for _ in range(10_000):
+        rows = _random_rows(rng)
+        expected = in_general_position(rows)
+        assert foliation._general_position(rows) == expected, rows
+        counts[max(0, min(len(rows) - len(rows[0]), 3)), expected] += 1
+    assert counts[0, True] >= 1_500 and counts[0, False] >= 1_500
+    assert counts[1, False] + counts[2, False] >= 1_500
+    assert counts[3, True] >= 800 and counts[3, False] >= 1_500
 
 
 def test_build_form_codim_two_minors():
