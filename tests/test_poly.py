@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,8 +102,9 @@ def test_coefficient_size_is_bounded():
 
 def random_expression(rng, names, symbols):
     """(text, SymPy value) of a random expression over ``names``: integers,
-    a/b rationals, variables, powers, parentheses, unary signs, products and
-    quotients by nonzero constants."""
+    a/b rationals, variables, powers, parentheses, chains of unary signs,
+    products with repeated factors such as ``2^3*x1^2*x1``, and quotients by
+    nonzero constants."""
     def atom(depth):
         kind = rng.randrange(4 if depth < 2 else 3)
         if kind == 0:
@@ -119,9 +121,9 @@ def random_expression(rng, names, symbols):
 
     def factor(depth):
         if rng.random() < 0.15:
-            sign = rng.choice("+-")
+            signs = "".join(rng.choice("+-") for _ in range(rng.randint(1, 4)))
             text, value = factor(depth)
-            return sign + text, value if sign == "+" else -value
+            return signs + text, value * (-1) ** signs.count("-")
         text, value = atom(depth)
         if rng.random() < 0.3:
             k = rng.randint(0, 2 if text.startswith("(") else 4)
@@ -130,6 +132,11 @@ def random_expression(rng, names, symbols):
 
     def term(depth):
         text, value = factor(depth)
+        if rng.random() < 0.15:
+            n, k, j = rng.randint(2, 5), rng.randint(0, 4), rng.randint(0, 3)
+            i = rng.randrange(len(names))
+            text = f"{text}*{n}^{k}*{names[i]}^{j}*{names[i]}"
+            value = value * sympy.Integer(n) ** k * symbols[i] ** (j + 1)
         for _ in range(rng.randint(0, 2)):
             if rng.random() < 0.3:
                 a, b = rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 4)
@@ -153,14 +160,18 @@ def random_expression(rng, names, symbols):
     return expression(0)
 
 
+# (variables, arity): the default names or custom ones; above arity 8 a
+# packed monomial spans more than 64 bits
+NAME_SETS = [(None, 3), (["u", "v", "w_2"], 3), (["x2", "x0", "x1"], 3), (["a", "b", "c", "d"], 4),
+             (None, 10), ([f"y_{i}" for i in range(11)], 11)]
+
+
 def test_parser_matches_sympy_expansion():
     """Random expressions parse to SymPy's expansion, rebuilt through the
     ``Poly`` constructor, at the same layout width."""
     rng = random.Random(2208)
-    name_sets = [None, ["u", "v", "w_2"], ["x2", "x0", "x1"], ["a", "b", "c", "d"]]
     for case in range(300):
-        names = name_sets[case % len(name_sets)]
-        arity = 3 if names is None else len(names)
+        names, arity = NAME_SETS[case % len(NAME_SETS)]
         shown = names or [f"x{i}" for i in range(arity)]
         symbols = sympy.symbols(f"s0:{arity}")
         text, value = random_expression(rng, shown, symbols)
@@ -185,12 +196,37 @@ def test_parse_custom_names():
 
 
 def test_print_parse_roundtrip_random():
+    """Printing and parsing again give the polynomial back: random ones in 1
+    to 12 variables, and random expressions, in the default or custom names."""
     rng = random.Random(20240811)
-    for _ in range(200):
-        p = random_poly(rng, rng.randint(1, 4), 4, terms=5)
-        assert parse_poly(poly_to_str(p), p.arity) == p
+    for case in range(200):
+        p = random_poly(rng, rng.randint(1, 12), 4, terms=5)
+        names = None if case % 2 else [f"v{i}" for i in range(p.arity)]
+        assert parse_poly(poly_to_str(p, names), p.arity, names) == p
+    for case in range(120):
+        names, arity = NAME_SETS[case % len(NAME_SETS)]
+        shown = names or [f"x{i}" for i in range(arity)]
+        text, _ = random_expression(rng, shown, sympy.symbols(f"s0:{arity}"))
+        p = parse_poly(text, arity, names)
+        assert parse_poly(poly_to_str(p, names), arity, names) == p
     assert poly_to_str(Poly(3)) == "0"
     assert poly_to_str(P("x0 + x1^2 + 1", 2)) == "x1^2 + x0 + 1"  # decreasing grevlex
+
+
+def test_dense_form_in_2001_variables_parses_and_prints_in_time():
+    """A dense linear form on P^2000, ``cli.MAX_N``: each of its packed
+    monomials has one nonzero field, so reading and printing it cost about
+    its number of terms; at terms times arity each takes over a second."""
+    arity = 2001
+    text = " + ".join(f"{i + 1}*x{i}" for i in range(arity))
+    t0 = time.perf_counter()
+    p = parse_poly(text, arity)
+    t1 = time.perf_counter()
+    printed = poly_to_str(p)
+    t2 = time.perf_counter()
+    assert len(p.num) == arity and printed == text[2:]  # "1*x0" prints as "x0"
+    assert parse_poly(printed, arity) == p
+    assert t1 - t0 < 0.5 and t2 - t1 < 0.5, (t1 - t0, t2 - t1)
 
 
 # -- ring operations ----------------------------------------------------------
