@@ -20,7 +20,8 @@ arithmetic when the ideals are monomial:
 * ``module_annihilator`` is the one colon by an ideal: the intersection of
   the colons by its nonzero components, densest first, with the
   intersection so far as the side seeded as known entries, ending early
-  when that intersection is I itself,
+  when that intersection is I itself; once a colon repeats that
+  intersection, a b whose product with it lies in I takes no colon,
 * saturation iterates ``module_annihilator`` to a fixed point, squaring a
   principal divisor f from the third step on (colons by f, f, f^2, f^4,
   ...), and f lies in the radical of I exactly when I : f^infinity is the
@@ -29,11 +30,11 @@ arithmetic when the ideals are monomial:
   meeting the support of every leading monomial,
 * a monomial ideal, whose cached basis, or else whose generators, are
   single terms, never enters the engine (Cox, Little & O'Shea, *Ideals,
-  Varieties, and Algorithms*, ch. 2 §4 and ch. 4 §3-4): its reduced basis
-  is its minimal generators, made monic, I : g for a single term g is
-  generated by the lcm(m, g) / g = m / gcd(m, g) of the generators m of
-  I, and the intersection of two by their pairwise lcms.  Each is
-  computed on packed grevlex monomials, wide enough for deg m + deg g.
+  Varieties, and Algorithms*, ch. 2 §4 and ch. 4 §3-4).  Its packed form,
+  its minimal generators m, is its basis; I : g for a term g is generated
+  by the m / gcd(m, g), I ∩ J by pairwise lcms, p lies in I when an m
+  divides each term of p, equality compares forms and dimension reads
+  their supports; no ``Poly`` is made until a basis is read.
 
 Every number is a Python int, and the engine speaks the representation
 of ``Poly`` (see ``poly.py``): integer numerators on monomials packed by a
@@ -301,15 +302,13 @@ class Ideal:
     ``groebner_basis()`` computes the basis once and keeps it; every
     membership test, normal form and dimension reads it from the ideal,
     packed as engine entries at the widest field width asked for so far.
-    The ideal is monomial when each element of its cached basis, or each
-    generator while none is cached, is a single term; then its basis, its
-    colons by a single term and its intersections with another monomial
-    ideal come from exponent arithmetic, not from the engine.
-    Every ideal arising from a foliation instance is homogeneous; the class
-    does not insist on it.
+    A monomial ideal reads its packed form (``_monomials``) instead, and
+    one made from that form makes its generators, its basis, into
+    polynomials only when read.  Every ideal arising from a foliation
+    instance is homogeneous; the class does not insist on it.
     """
 
-    __slots__ = ("arity", "generators", "_basis", "_packed")
+    __slots__ = ("arity", "_gens", "_basis", "_packed", "_mono")
 
     def __init__(self, arity: int, generators=()):
         self.arity = arity
@@ -320,26 +319,29 @@ class Ideal:
             if g.arity != arity:
                 raise ValueError(f"generator arity {g.arity} does not match ideal arity {arity}")
         # distinct nonzero generators, in order
-        self.generators = tuple(dict.fromkeys(g for g in generators if not g.is_zero))
-        self._basis = self._packed = None
+        self._gens = tuple(dict.fromkeys(g for g in generators if not g.is_zero))
+        self._basis = self._packed = self._mono = None
 
     @staticmethod
     def unit(arity: int) -> "Ideal":
-        return Ideal(arity, [Poly.one(arity)])
+        return _from_monomials(arity, (_layout(GREVLEX, arity, _width(0)), (0,)))
+
+    @property
+    def generators(self) -> tuple:
+        return self.groebner_basis() if self._gens is None else self._gens
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not (self._gens if self._mono is None else self._mono[1])
 
     def groebner_basis(self) -> tuple:
         """The reduced, monic basis polynomials, by decreasing leading monomial."""
         if self._basis is None:
-            terms = _single_terms(self)
-            if terms is not None:  # a monomial ideal, the zero ideal too
-                layout = _layout(GREVLEX, self.arity, _width(_max_degree(terms)))
-                self._basis = _minimal(layout, _packed_terms(terms, layout))
+            mono = _monomials(self)
+            if mono:  # a monomial ideal, the zero ideal too
+                self._basis = tuple(_make(mono[0], {m: 1}) for m in mono[1])
             else:
-                layout, nums = _aligned(self.generators)
+                layout, nums = _aligned(self._gens)
                 run, basis = groebner_terms(nums, layout)
                 self._basis = tuple(_make(run, num, den) for num, den in basis)
         return self._basis
@@ -359,10 +361,11 @@ class Ideal:
 
     @property
     def is_unit(self) -> bool:
-        return self.groebner_basis() == (Poly.one(self.arity),)
+        return ideal_equal(self, Ideal.unit(self.arity))
 
     def contains(self, p: Poly) -> bool:
-        return normal_form(p, self).is_zero
+        mono = _monomials(self)
+        return _inside((p.layout, p.num), mono) if mono else normal_form(p, self).is_zero
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.generators) or "0"
@@ -410,70 +413,85 @@ def _e0_coordinates(arity: int, vectors: list, known=()) -> Ideal:
     at_e1 = [{m + e1: c for m, c in nf.items()} for nf in nums[2 * len(vectors):]]
     run, basis = groebner_terms(gens, block, at_e1)
     rest = _layout(GREVLEX, arity, run.bits)
-    return _with_basis(arity, [_make(rest, num, den) for num, den in basis])
-
-
-def _with_basis(arity: int, basis) -> Ideal:
-    """The ideal generated by a reduced basis, with that basis cached."""
-    ideal = Ideal(arity, basis)
-    ideal._basis = ideal.generators
+    ideal = Ideal(arity, [_make(rest, num, den) for num, den in basis])
+    ideal._basis = ideal._gens
     return ideal
 
 
-def _single_terms(I: Ideal):
-    """I's cached basis, or its generators when none is cached, if each is
-    a single term, so that I is a monomial ideal; else None."""
-    polys = I.generators if I._basis is None else I._basis
-    return polys if all(len(p.num) == 1 for p in polys) else None
+def _from_monomials(arity: int, mono: tuple) -> Ideal:
+    """The monomial ideal of a packed form, with no polynomial made."""
+    ideal = object.__new__(Ideal)
+    ideal.arity, ideal._mono = arity, mono
+    ideal._gens = ideal._basis = ideal._packed = None
+    return ideal
 
 
-def _max_degree(polys) -> int:
-    return max((p.total_degree() for p in polys), default=0)
-
-
-def _packed_terms(polys, layout: _Layout) -> list:
-    """The monomials of single-term polynomials, packed by ``layout``."""
-    return [m if p.layout is layout else layout.pack(p.layout.unpack(m))
-            for p in polys for m in p.num]
+def _monomials(I: Ideal):
+    """If I's cached basis, or its generators while none is cached, are single
+    terms, I's packed form: (layout, minimal generators by decreasing grevlex)
+    at the narrowest width that holds them, so equal forms are equal ideals."""
+    if I._mono is None:
+        polys = I._gens if I._basis is None else I._basis
+        if not all(len(p.num) == 1 for p in polys):
+            return None
+        layout, nums = _aligned(polys) if polys else (_layout(GREVLEX, I.arity, _width(0)), ())
+        I._mono = _minimal(layout, [m for num in nums for m in num])
+    return I._mono
 
 
 def _minimal(layout: _Layout, monomials) -> tuple:
-    """The reduced basis of the ideal of packed grevlex monomials: the
-    minimal ones, monic, by decreasing grevlex.  A proper divisor has the
-    smaller degree, so in increasing order it comes first."""
-    guard, flip = layout.guard, layout.flip
-    kept = []
-    for m in sorted(set(monomials), key=flip.__xor__):
-        if all((m - k) & guard for k in kept):
+    """The packed form of the ideal of monomials packed by ``layout``.  A
+    proper divisor k of m, ``(m - k) & guard == 0``, has the smaller degree."""
+    guard, kept = layout.guard, []
+    for m in sorted(set(monomials), key=layout.flip.__xor__):
+        for k in kept:
+            if not (m - k) & guard:
+                break
+        else:
             kept.append(m)
-    return tuple(_make(layout, {m: 1}) for m in reversed(kept))
+    narrow = _layout(GREVLEX, layout.arity, _width(kept[-1] >> layout.degshift if kept else 0))
+    return narrow, tuple(_at((layout, kept[::-1]), narrow))
 
 
-def _has_constant(I: Ideal) -> bool:
-    """Whether a generator of I is a nonzero constant, so that I is (1)."""
-    return any(g.total_degree() == 0 for g in I.generators)
+def _degree(mono: tuple) -> int:
+    """The largest degree of a packed form's generators (0 for none)."""
+    return mono[1][0] >> mono[0].degshift if mono[1] else 0
+
+
+def _at(mono: tuple, layout: _Layout):
+    """A packed form's generators packed by ``layout``, as wide or wider."""
+    return mono[1] if mono[0] is layout else [layout.pack(mono[0].unpack(m)) for m in mono[1]]
+
+
+def _lcms(a: tuple, b: tuple, colon: bool) -> tuple:
+    """a ∩ b of packed forms, by pairwise lcms, or with ``colon`` a : u for b = (u)."""
+    layout = _layout(GREVLEX, a[0].arity, _width(_degree(a) + _degree(b)))
+    lcm, us = layout.lcm, _at(b, layout)
+    return _minimal(layout, [lcm(m, u)[0] - colon * u for m in _at(a, layout) for u in us])
+
+
+def _inside(a: tuple, b: tuple) -> bool:
+    """Whether a generator of the packed form b divides each monomial of a."""
+    layout = max(a[0], b[0], key=lambda lay: lay.bits)
+    guard, kept = layout.guard, _at(b, layout)
+    return all(any(not (m - k) & guard for k in kept) for m in _at(a, layout))
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """Set-theoretic intersection: the e0 coordinates of the submodule
     generated by f*e1 for f in I and g*(e1 + e0) for g in J, or, when both
-    are monomial, the pairwise lcms of their generators.  When one side
-    has a constant generator, it is the whole ring and the answer is the
-    other side."""
+    are monomial, the pairwise lcms of their generators.  When one side is
+    monomial and holds 1, the answer is the other side."""
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
     if I.is_zero or J.is_zero:
         return Ideal(I.arity)
-    if _has_constant(I):
-        return J
-    if _has_constant(J):
-        return I
-    a, b = _single_terms(I), _single_terms(J)
-    if a is not None and b is not None:
-        layout = _layout(GREVLEX, I.arity, _width(_max_degree(a) + _max_degree(b)))
-        lcm, us = layout.lcm, _packed_terms(b, layout)
-        return _with_basis(I.arity, _minimal(
-            layout, [lcm(m, u)[0] for m in _packed_terms(a, layout) for u in us]))
+    a, b = _monomials(I), _monomials(J)
+    for one, other in ((a, J), (b, I)):
+        if one and one[1] == (0,):
+            return other
+    if a and b:
+        return _from_monomials(I.arity, _lcms(a, b, False))
     return _e0_coordinates(I.arity, [(g, g) for g in J.generators], I.groebner_basis())
 
 
@@ -483,12 +501,9 @@ def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
     I and a single term g, the lcm(m, g) / g of I's generators m."""
     if g.is_zero:
         raise ValueError("colon ideal by the zero polynomial")
-    terms = _single_terms(I)
-    if terms is not None and len(g.num) == 1:
-        layout = _layout(GREVLEX, I.arity, _width(_max_degree(terms) + g.total_degree()))
-        (u,), lcm = _packed_terms([g], layout), layout.lcm
-        return _with_basis(I.arity, _minimal(
-            layout, [lcm(m, u)[0] - u for m in _packed_terms(terms, layout)]))
+    mono = _monomials(I)
+    if mono and len(g.num) == 1:
+        return _from_monomials(I.arity, _lcms(mono, (g.layout, tuple(g.num)), True))
     return _e0_coordinates(I.arity, [(g, Poly.one(I.arity))], I.groebner_basis())
 
 
@@ -499,11 +514,13 @@ def ideal_saturation(I: Ideal, J: Ideal) -> Ideal:
     are by f, f, f^2, f^4, ..., so after k + 1 steps the result is I : f^(2^k)
     and a power f^d in I costs about log2(d) colons, not d.  Two equal
     results in a row end it: K = I : f^e = I : f^(2e) gives K : f^e = K, so
-    K : f = K is saturated.
+    K : f = K is saturated.  For monomial I and J, J not principal, the
+    steps are by the packed forms (u) of J's generators.
     """
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
-    current, factors, square = I, J.generators, False
+    current, square, mono = I, False, _monomials(I) and _monomials(J)
+    factors = [(mono[0], (u,)) for u in mono[1]] if mono and len(mono[1]) > 1 else J.generators
     while True:
         nxt = module_annihilator(factors, current)
         if ideal_equal(nxt, current):
@@ -557,10 +574,10 @@ def krull_dimension(I: Ideal) -> int:
     """
     if I.is_zero:
         return I.arity
-    layout, entries = I._entries(1)
+    layout, lms = _monomials(I) or (I._entries(1)[0], [e[0] for e in I._entries(1)[1]])
     shifts, cap = layout.shifts, layout.cap
     supports = {sum(1 << i for i, shift in enumerate(shifts) if (lm >> shift) & cap)
-                for lm, _, _, _ in entries}
+                for lm in lms}
     if 0 in supports:
         return -1  # a constant leading term: the unit ideal
     return I.arity - _transversal(list(supports), I.arity)
@@ -572,10 +589,11 @@ def projective_dimension(I: Ideal) -> int:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Exact ideal equality: identical reduced grevlex bases."""
+    """Exact ideal equality: identical reduced grevlex bases, or packed forms."""
     if I.arity != J.arity:
         raise ValueError("arity mismatch between ideals")
-    return I.groebner_basis() == J.groebner_basis()
+    a, b = _monomials(I), _monomials(J)
+    return a == b if a and b else I.groebner_basis() == J.groebner_basis()
 
 
 def module_annihilator(components, I: Ideal) -> Ideal:
@@ -590,14 +608,31 @@ def module_annihilator(components, I: Ideal) -> Ideal:
     once the intersection so far equals I it is the answer: a saturation's
     last step, which finds I : b = I, takes one colon.  A colon whose
     reduced basis is the intersection's so far leaves it as it is, so in a
-    saturation, where most colons are one ideal, it takes no intersection.
+    saturation, where most colons are one ideal, it takes no intersection,
+    and then no colon by a b with ann*b in I (b may be a packed form (u)).
     """
-    ann = Ideal.unit(I.arity)
-    for b in sorted((b for b in components if not b.is_zero),
-                    key=lambda b: len(b.num), reverse=True):
-        colon = ideal_quotient(I, b)
-        if not ideal_equal(colon, ann):
+    ann, repeated = Ideal.unit(I.arity), False
+    for b in sorted((b for b in components if b), reverse=True,
+                    key=lambda b: 1 if type(b) is tuple else len(b.num)):
+        if repeated and _annihilates(ann, b, I):
+            continue
+        colon = (ideal_quotient(I, b) if type(b) is not tuple
+                 else _from_monomials(I.arity, _lcms(_monomials(I), b, True)))
+        if ideal_equal(colon, ann):
+            repeated = True
+        else:
             ann = ideal_intersection(ann, colon)
         if ideal_equal(ann, I):
             break
     return ann
+
+
+def _annihilates(ann: Ideal, b, I: Ideal) -> bool:
+    """Whether ann*b lies in I, so that ann lies in I : b: each basis element
+    of ann times b, smallest first; by exponents when all are monomial."""
+    a, mono = _monomials(ann), _monomials(I)
+    u = b if type(b) is tuple else (b.layout, tuple(b.num)) if len(b.num) == 1 else None
+    if a and mono and u:
+        layout = _layout(GREVLEX, I.arity, _width(_degree(a) + _degree(u)))
+        return _inside((layout, [h + _at(u, layout)[0] for h in reversed(_at(a, layout))]), mono)
+    return all(I.contains(h * b) for h in reversed(ann.groebner_basis()))

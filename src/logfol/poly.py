@@ -630,9 +630,13 @@ def poly_to_str(p: Poly, names=None) -> str:
             rest ^= e << shift
             name = f"x{shift // step}" if names is None else names[shift // step]
             factors.append(name if e == 1 else f"{name}^{e}")
-        coeff = p.num[m] if den == 1 else Fraction(p.num[m], den)
-        if abs(coeff) != 1 or not factors:
-            factors.insert(0, str(abs(coeff)))
-        pieces.append((" - " if coeff < 0 else " + ") + "*".join(factors))
+        c = p.num[m]
+        a, b = abs(c), den  # the coefficient c/den, as a/b in lowest terms
+        if b != 1:
+            g = gcd(a, b)
+            a, b = a // g, b // g
+        if a != 1 or b != 1 or not factors:
+            factors.insert(0, str(a) if b == 1 else f"{a}/{b}")
+        pieces.append((" - " if c < 0 else " + ") + "*".join(factors))
     text = "".join(pieces)
     return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -32,14 +32,15 @@ dimension.  An arrangement of hyperplanes is therefore computed in
 coordinates y = Mx in which n+1 independent ones of them are coordinate
 functions (``foliation.adapted_coordinates``): the form and the ideals are
 sparse there, and monomial when s <= n+1.  ``groebner`` takes the bases,
-colons and intersections of monomial ideals by exponent arithmetic, so with
-s <= n+1 no ideal enters the Groebner engine except to be printed in the
-spec's coordinates, or to name the witness of a failed locus check there
-(``_same_locus``).  Every generator a report prints is carried back to the
-spec's coordinates and reduced there, once per distinct reduced basis, so
-reports read as if computed in the spec's coordinates throughout; an
-arrangement with a divisor of higher degree, where the substitution would
-make it dense, is computed as given.
+colons, intersections, memberships, equalities and dimensions of monomial
+ideals by exponent arithmetic, and makes no polynomial for such an ideal
+until its basis is read, so with s <= n+1 no ideal enters the Groebner
+engine except to be printed in the spec's coordinates, or to name the
+witness of a failed locus check there (``_same_locus``).  Every generator a
+report prints is carried back to the spec's coordinates and reduced there,
+once per distinct reduced basis, so reports read as if computed in the
+spec's coordinates throughout; an arrangement with a divisor of higher
+degree, where the substitution would make it dense, is computed as given.
 
 One instance is one ``SchemeIdeals``: its form, its ideals and the paper's
 hypotheses on it are each computed on first use and then kept.  A check is

@@ -471,8 +471,8 @@ def test_module_annihilator_examples(monkeypatch):
             for g in components:
                 assert normal_form(h * g, I).is_zero
 
-    # one colon per component, x0*x2 and x0^2 too, though (x1) already
-    # annihilates them modulo (x0*x1)
+    # the colon by x0*x2 repeats (x1); then (x1)*x0^2 lies in (x0*x1), so
+    # x0^2 takes no colon
     calls = []
 
     def counting_quotient(J, g):
@@ -482,7 +482,16 @@ def test_module_annihilator_examples(monkeypatch):
     monkeypatch.setattr(groebner, "ideal_quotient", counting_quotient)
     ann = module_annihilator([x0, x0 * x2, x0 * x0], Ideal(3, [x0 * x1]))
     assert gens_of(ann) == ["x1"]
-    assert calls == [x0, x0 * x2, x0 * x0]
+    assert calls == [x0, x0 * x2]
+    # the same through the engine: modulo (h*x1), h = x0 + x2, the colons by
+    # h*(x0 + x1 + x2) and h*(x0 - x2) are both (x1), and (x1)*h*x2 lies in I
+    calls.clear()
+    h = x0 + x2
+    components = [h * (x0 + x1 + x2), h * (x0 - x2), h * x2]
+    ann = module_annihilator(components, Ideal(3, [h * x1]))
+    assert gens_of(ann) == ["x1"] and calls == components[:2]
+    assert ideal_equal(ann, reduce(ideal_intersection, [ideal_quotient(Ideal(3, [h * x1]), g)
+                                                        for g in components]))
     # I : x2 is I, so the answer is I after one colon
     calls.clear()
     assert gens_of(module_annihilator([x2, x0], Ideal(3, [x0 * x1]))) == ["x0*x1"]
@@ -587,7 +596,9 @@ def test_monomial_ideals_take_exponent_arithmetic_and_match_the_engine(monkeypat
     non-unit coefficients, constants and exponents past 127: the reduced
     basis, a colon by a single term and an intersection come from exponent
     arithmetic, with no engine run, and equal the engine's tuples exactly,
-    in order and field width."""
+    in order and field width.  So do membership of single terms and sums
+    (narrow and wide), dimension, equality and saturation, both ways by a
+    monomial ideal, against the engine's bases, normal forms and colons."""
     rng = random.Random(1601)
     cases = []
     for trial in range(80):
@@ -636,6 +647,54 @@ def test_monomial_ideals_take_exponent_arithmetic_and_match_the_engine(monkeypat
         == Ideal(3, big).groebner_basis()
     assert widths == {7, 14}  # lcms past degree 127 cross the narrowest width
     assert 0 < units < 20
+
+    # membership, equality, dimension and saturation read the packed form:
+    # computed from fresh ideals before any basis is read, with no engine
+    # run, they match ideals whose bases the engine computed
+    rng = random.Random(1602)
+    runs.clear()
+    found, saturated = [], []
+    for a, b, g in cases:
+        arity = g.arity
+        fresh = (Ideal(arity, a), ideal_quotient(Ideal(arity, a), g),
+                 ideal_intersection(Ideal(arity, a), Ideal(arity, b)))
+        probes = [_single_term(rng, arity, 200 if k % 2 else 3) for k in range(4)]
+        probes += [a[0] * probes[0], a[-1] * b[0], a[0] * b[-1] * g + probes[1],
+                   a[1] * probes[2] - 2 * a[0] * g, g * probes[3] + a[0] * b[0]]
+        found.append([[X.contains(p) for p in probes] for X in fresh]
+                     + [[krull_dimension(X) for X in fresh],
+                        [[ideal_equal(X, Y) for Y in fresh] for X in fresh], probes])
+        assert all(X._basis is None for X in fresh)  # no basis made for them
+        saturated.append([ideal_saturation(X, Ideal(arity, b)) for X in fresh]
+                         + [ideal_saturation(Ideal(arity, b), X) for X in fresh])
+    assert runs == []
+    truths = set()
+    for (a, b, g), answers, sats in zip(cases, found, saturated):
+        arity = g.arity
+        one = Poly.one(arity)
+        engine = [_engine_colon(a, one), _engine_colon(a, g),
+                  _engine_colon(_engine_intersection(a, b).groebner_basis(), one)]
+        *member, dims, equal, probes = answers
+        for Y, row in zip(engine, member):
+            assert row == [normal_form(p, Y).is_zero for p in probes]
+            truths.update(row)
+        assert dims == [oracle_dimension([next(iter(h.terms)) for h in Y.groebner_basis()], arity)
+                        for Y in engine]
+        assert equal == [[Y.groebner_basis() == Z.groebner_basis() for Z in engine]
+                         for Y in engine]
+
+        def engine_saturation(gens, by):
+            # I : J^inf is the intersection of the I : u^N, N past every exponent of I
+            power = 1 + max(h.total_degree() for h in gens)
+            return reduce(lambda A, B: _engine_intersection(A.groebner_basis(),
+                                                            B.groebner_basis()),
+                          [_engine_colon(list(gens), u ** power) for u in by])
+
+        bases = [Y.groebner_basis() for Y in engine]
+        expected = ([engine_saturation(basis, b) for basis in bases]
+                    + [engine_saturation(b, basis) for basis in bases])
+        assert [X.groebner_basis() for X in sats] == [E.groebner_basis() for E in expected]
+    assert truths == {True, False}
 
 
 # -- independent oracle: SymPy's reduced Groebner bases ----------------------------------------
